@@ -8,6 +8,7 @@
 
 #include "core/column_learner.h"
 #include "core/executor.h"
+#include "core/extractor_memo.h"
 #include "core/predicate_universe.h"
 #include "core/qm.h"
 #include "core/set_cover.h"
@@ -131,8 +132,9 @@ void BM_PredicateUniverse(benchmark::State& state) {
   std::vector<std::vector<dsl::NodeTuple>> rows_per_example{
       *dsl::EvalCrossProduct(*tree, psi)};
   for (auto _ : state) {
+    core::ExtractorMemoCache memo(ex, {});
     auto universe =
-        core::ConstructPredicateUniverse(ex, psi, rows_per_example);
+        core::ConstructPredicateUniverse(memo, psi, rows_per_example);
     benchmark::DoNotOptimize(universe);
   }
 }

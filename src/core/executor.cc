@@ -135,26 +135,25 @@ bool CmpHolds(CmpOp op, int cmp) {
 
 }  // namespace
 
-const std::vector<hdt::NodeId>* ColumnCache::Lookup(
-    const dsl::ColumnExtractor& pi) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = cache_.find(dsl::ToString(pi));
-  if (it == cache_.end()) {
-    MITRA_COUNT("exec/column_cache/misses", 1);
-    return nullptr;
+const std::vector<hdt::NodeId>& ColumnCache::Get(
+    const dsl::ColumnExtractor& pi) {
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    auto it = cache_.find(pi);
+    if (it != cache_.end()) {
+      ++hits_;
+      MITRA_COUNT("exec/column_cache/hits", 1);
+      return it->second;
+    }
   }
-  ++hits_;
-  MITRA_COUNT("exec/column_cache/hits", 1);
-  return &it->second;
-}
-
-const std::vector<hdt::NodeId>* ColumnCache::Insert(
-    const dsl::ColumnExtractor& pi, std::vector<hdt::NodeId> nodes) {
+  MITRA_COUNT("exec/column_cache/misses", 1);
+  // Evaluated outside the lock so concurrent misses on other extractors
+  // do not serialize behind this one.
+  std::vector<hdt::NodeId> nodes = dsl::EvalColumn(*tree_, pi);
   std::lock_guard<std::mutex> lock(mu_);
-  // First-wins: never overwrite, so pointers handed out earlier (possibly
-  // held by a concurrent executor) stay valid and bound to the same value.
-  auto [it, inserted] = cache_.try_emplace(dsl::ToString(pi), std::move(nodes));
-  return &it->second;
+  // First-wins: never overwrite, so references handed out earlier
+  // (possibly held by a concurrent caller) stay bound to the same value.
+  return cache_.try_emplace(pi, std::move(nodes)).first->second;
 }
 
 size_t ColumnCache::size() const {
@@ -257,10 +256,10 @@ Result<std::vector<dsl::NodeTuple>> OptimizedExecutor::ExecuteNodes(
     const hdt::Hdt& tree, const ExecuteOptions& opts) const {
   MITRA_SPAN(span, "exec/execute_nodes");
   const size_t k = program_.columns.size();
-  if (k > dsl::kMaxEvalColumns) {
-    return Status::ResourceExhausted(
-        "program has " + std::to_string(k) + " columns (limit " +
-        std::to_string(dsl::kMaxEvalColumns) + ")");
+  MITRA_RETURN_IF_ERROR(dsl::CheckColumnCount(k));
+  if (opts.column_cache != nullptr && &opts.column_cache->tree() != &tree) {
+    return Status::InvalidArgument(
+        "column cache is bound to a different tree");
   }
   MITRA_GOV_CHECK(opts.governor, "exec/start");
   // Memoized column evaluation: identical extractors share one result —
@@ -272,11 +271,7 @@ Result<std::vector<dsl::NodeTuple>> OptimizedExecutor::ExecuteNodes(
   for (size_t i = 0; i < k; ++i) {
     columns[i] = nullptr;
     if (opts.column_cache != nullptr) {
-      columns[i] = opts.column_cache->Lookup(program_.columns[i]);
-      if (columns[i] == nullptr) {
-        columns[i] = opts.column_cache->Insert(
-            program_.columns[i], dsl::EvalColumn(tree, program_.columns[i]));
-      }
+      columns[i] = &opts.column_cache->Get(program_.columns[i]);
       continue;
     }
     for (size_t j = 0; j < i; ++j) {

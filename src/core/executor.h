@@ -1,9 +1,9 @@
 #ifndef MITRA_CORE_EXECUTOR_H_
 #define MITRA_CORE_EXECUTOR_H_
 
-#include <map>
 #include <mutex>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "common/governor.h"
@@ -39,32 +39,37 @@ class ThreadPool;
 
 namespace mitra::core {
 
-/// Cross-program column cache — the paper's §9 future-work optimization:
-/// when several synthesized programs run over the *same* document (one
-/// per database table), they share column extractions (e.g. every IMDB
-/// table program scans `descendants(s, movies)`). Scope one cache per
-/// document; it must outlive the executor calls that use it.
+/// The one column-extraction cache (the paper's §6 memoization, shared
+/// across programs as its §9 future work suggests): the per-table
+/// programs of a migration share one per document (every IMDB table
+/// program scans `descendants(s, movies)`), and synthesis shares one per
+/// example tree across its candidate ψ (ExtractorMemoCache). A cache is
+/// bound to the tree it serves, which must outlive it, and is keyed by
+/// extractor value; the executor rejects a cache bound to another tree.
 ///
 /// Thread-safe: the migrator executes per-table programs concurrently
-/// against one shared cache. Insert is first-wins (extractions are pure
+/// against one shared cache. Insertion is first-wins (extractions are pure
 /// functions of the tree, so concurrent computes yield equal values) and
-/// never invalidates previously returned pointers (std::map nodes are
-/// stable).
+/// never invalidates previously returned references (unordered_map nodes
+/// are stable). Lookups count under exec/column_cache/{hits,misses}.
 class ColumnCache {
  public:
-  /// Returns the cached extraction or nullptr.
-  const std::vector<hdt::NodeId>* Lookup(const dsl::ColumnExtractor& pi) const;
-  /// Inserts an extraction (first-wins); returns the stored pointer.
-  const std::vector<hdt::NodeId>* Insert(const dsl::ColumnExtractor& pi,
-                                         std::vector<hdt::NodeId> nodes);
+  explicit ColumnCache(const hdt::Hdt& tree) : tree_(&tree) {}
+
+  /// dsl::EvalColumn(tree(), pi), computed on first request.
+  const std::vector<hdt::NodeId>& Get(const dsl::ColumnExtractor& pi);
+  const hdt::Hdt& tree() const { return *tree_; }
   size_t size() const;
-  /// Number of Lookup hits (for the memoization benchmark).
+  /// Number of Get hits (for the memoization benchmark).
   size_t hits() const;
 
  private:
+  const hdt::Hdt* tree_;
   mutable std::mutex mu_;
-  std::map<std::string, std::vector<hdt::NodeId>> cache_;
-  mutable size_t hits_ = 0;
+  std::unordered_map<dsl::ColumnExtractor, std::vector<hdt::NodeId>,
+                     dsl::ColumnExtractorHash>
+      cache_;
+  size_t hits_ = 0;
 };
 
 struct ExecuteOptions {
@@ -75,7 +80,9 @@ struct ExecuteOptions {
   /// iterations (bounded-latency checks, including on clauses that emit
   /// nothing).
   common::Governor* governor = nullptr;
-  /// Optional cross-program column cache (see ColumnCache).
+  /// Optional cross-program column cache (see ColumnCache); it must be
+  /// bound to the executed tree. Without one, identical columns within
+  /// the program are still evaluated once.
   ColumnCache* column_cache = nullptr;
   /// Optional worker pool (not owned): each clause's outermost loop level
   /// is chunked into contiguous candidate ranges enumerated concurrently
@@ -89,7 +96,8 @@ class OptimizedExecutor {
  public:
   explicit OptimizedExecutor(const dsl::Program& program);
 
-  /// Runs the plan, returning surviving node tuples.
+  /// Runs the plan, returning surviving node tuples. kInvalidArgument
+  /// when `opts.column_cache` is bound to a different tree.
   Result<std::vector<dsl::NodeTuple>> ExecuteNodes(
       const hdt::Hdt& tree, const ExecuteOptions& opts = {}) const;
 

@@ -2,6 +2,7 @@
 #define MITRA_CORE_EXTRACTOR_MEMO_H_
 
 #include <atomic>
+#include <deque>
 #include <future>
 #include <memory>
 #include <mutex>
@@ -13,30 +14,35 @@
 
 #include "common/status.h"
 #include "core/example.h"
+#include "core/executor.h"
 #include "core/node_extractor_enum.h"
+#include "core/predicate_universe.h"
 #include "dsl/ast.h"
 
 /// \file extractor_memo.h
 /// Cross-candidate memoization for the synthesizer's Phase 2. Consecutive
 /// table extractors ψ ∈ Π1 × … × Πk drawn from the cheapest-first frontier
 /// share almost all of their column extractors, yet the predicate learner
-/// re-derives per-column work from scratch for every combo: EvalColumn
+/// would re-derive per-column work from scratch for every combo: EvalColumn
 /// node lists, the enumerated node-extractor set χᵢ, and the per-target
 /// facts (leaf-ness, data, parsed number) that atom evaluation reads.
-/// ExtractorMemoCache keys all three on the column extractor's string
-/// form, so a ψ that reuses a column extractor from any previous combo
-/// pays nothing.
+/// ExtractorMemoCache serves the column extractions from one ColumnCache
+/// per example tree (executor.h: the one column-extraction cache, counted
+/// under exec/column_cache/*) and keys χᵢ with its facts on the column
+/// extractor's value, so a ψ that reuses a column extractor from any
+/// previous combo pays nothing. χᵢ and the constant pool count under
+/// memo/extractor/*.
 ///
-/// Thread safety: all Get* methods are safe to call concurrently (the
-/// synthesizer's wave evaluation does). A key being computed by one
-/// thread blocks other requesters for the same key ("single-flight"), so
+/// Thread safety: all methods are safe to call concurrently (the
+/// synthesizer's wave evaluation does). A χᵢ being computed by one thread
+/// blocks other requesters for the same extractor ("single-flight"), so
 /// heavy enumeration work is never duplicated. Cached values are pure
-/// functions of (examples, extractor, options), so memoization cannot
-/// change any result — only its cost.
+/// functions of the (examples, options) bound at construction, so
+/// memoization cannot change any result — only its cost.
 ///
-/// Lifetime: one cache serves one (examples, options) pair; the
-/// synthesizer scopes one cache per LearnTransformation call. Examples
-/// must outlive the cache (facts hold string_views into the trees).
+/// Lifetime: the synthesizer scopes one cache per LearnTransformation
+/// call. Examples must outlive the cache (facts hold string_views into the
+/// trees).
 
 namespace mitra::core {
 
@@ -53,20 +59,11 @@ struct TargetFacts {
   hdt::DataId data_id = hdt::kInvalidData;
 };
 
-/// Extracts the facts atom evaluation needs from one tree node.
-TargetFacts FactsFor(const hdt::Hdt& tree, hdt::NodeId node);
-
-/// Per-example EvalColumn results for one column extractor.
-struct ColumnEvalEntry {
-  /// values[e] = EvalColumn(tree_e, pi), in document order.
-  std::vector<std::vector<hdt::NodeId>> values;
-};
-
 /// One enumerated node extractor with pre-extracted facts per target.
 struct ExtractorWithFacts {
   dsl::NodeExtractor extractor;
   /// facts[e][v] = facts of applying the extractor to the v'th column
-  /// value of example e (aligned with ColumnEvalEntry::values[e]).
+  /// value of example e (aligned with ColumnCache::Get on tree e).
   std::vector<std::vector<TargetFacts>> facts;
 };
 
@@ -78,43 +75,45 @@ struct EnumeratedEntry {
 
 class ExtractorMemoCache {
  public:
-  /// Per-example EvalColumn results for `pi`, computed once per distinct
-  /// extractor string.
-  std::shared_ptr<const ColumnEvalEntry> Columns(
-      const Examples& examples, const dsl::ColumnExtractor& pi);
+  /// Binds the examples and the enumeration options every lookup uses:
+  /// `opts.node_enum` capped at `opts.max_extractors_per_column` for χᵢ,
+  /// and `opts.max_constants` for the constant pool.
+  ExtractorMemoCache(const Examples& examples,
+                     const PredicateUniverseOptions& opts);
+
+  const Examples& examples() const { return examples_; }
+
+  /// The column-extraction cache bound to example `e`'s tree.
+  ColumnCache& Columns(size_t e) { return columns_[e]; }
 
   /// Enumerated node extractors (χᵢ) for `pi` with pre-extracted target
-  /// facts. `opts` must be identical across all calls on one cache.
+  /// facts, computed once per distinct extractor.
   std::shared_ptr<const EnumeratedEntry> Extractors(
-      const Examples& examples, const dsl::ColumnExtractor& pi,
-      const NodeExtractorEnumOptions& opts);
+      const dsl::ColumnExtractor& pi);
 
   /// The deduplicated constant pool (rule 4) over the examples' data
   /// values; identical for every candidate ψ, so computed once.
-  std::shared_ptr<const std::vector<std::string>> Constants(
-      const Examples& examples, size_t max_constants);
+  const std::vector<std::string>& Constants();
 
   size_t hits() const { return hits_.load(std::memory_order_relaxed); }
   size_t misses() const { return misses_.load(std::memory_order_relaxed); }
 
  private:
-  /// Single-flight map: find-or-start the computation for `key`; exactly
-  /// one caller runs `compute`, everyone else blocks on its future.
-  template <typename T, typename Fn>
-  std::shared_ptr<const T> GetOrCompute(
-      std::unordered_map<std::string, std::shared_future<std::shared_ptr<const T>>>* map,
-      const std::string& key, Fn compute);
+  void CountLookup(bool hit);
 
-  mutable std::mutex mu_;
-  std::unordered_map<std::string,
-                     std::shared_future<std::shared_ptr<const ColumnEvalEntry>>>
-      columns_;
-  std::unordered_map<std::string,
-                     std::shared_future<std::shared_ptr<const EnumeratedEntry>>>
+  const Examples examples_;
+  NodeExtractorEnumOptions enum_opts_;
+  const size_t max_constants_;
+  std::deque<ColumnCache> columns_;  ///< one per example, never resized
+
+  std::mutex mu_;
+  std::unordered_map<
+      dsl::ColumnExtractor,
+      std::shared_future<std::shared_ptr<const EnumeratedEntry>>,
+      dsl::ColumnExtractorHash>
       extractors_;
-  std::unordered_map<std::string,
-                     std::shared_future<std::shared_ptr<const std::vector<std::string>>>>
-      constants_;
+  std::once_flag constants_once_;
+  std::vector<std::string> constants_;
   std::atomic<size_t> hits_{0};
   std::atomic<size_t> misses_{0};
 };

@@ -16,48 +16,6 @@ namespace mitra::core {
 
 namespace {
 
-/// dsl::EvalCrossProduct, but over already-evaluated (memoized) columns —
-/// identical semantics, including the empty-column early return and the
-/// intermediate-tuple budget.
-Result<std::vector<dsl::NodeTuple>> CrossProductFromColumns(
-    const std::vector<const std::vector<hdt::NodeId>*>& cols,
-    const dsl::EvalOptions& opts) {
-  uint64_t total = 1;
-  for (const auto* c : cols) {
-    total *= c->size();
-    if (c->empty()) return std::vector<dsl::NodeTuple>{};
-    if (total > opts.max_intermediate_tuples) {
-      return Status::ResourceExhausted(
-          "intermediate table would have " + std::to_string(total) +
-          " tuples (limit " + std::to_string(opts.max_intermediate_tuples) +
-          ")");
-    }
-  }
-  if (opts.governor != nullptr) {
-    MITRA_RETURN_IF_ERROR(
-        opts.governor->ChargeRows(total, "eval/cross-product"));
-    MITRA_RETURN_IF_ERROR(opts.governor->ChargeBytes(
-        total * cols.size() * sizeof(hdt::NodeId), "alloc/cross-product"));
-  }
-  std::vector<dsl::NodeTuple> out;
-  if (cols.empty()) return out;
-  out.reserve(static_cast<size_t>(total));
-  dsl::NodeTuple t(cols.size());
-  // Odometer enumeration: column 0 is the outermost loop (Fig. 4b order).
-  std::vector<size_t> idx(cols.size(), 0);
-  while (true) {
-    for (size_t i = 0; i < cols.size(); ++i) t[i] = (*cols[i])[idx[i]];
-    out.push_back(t);
-    size_t i = cols.size();
-    while (i > 0) {
-      --i;
-      if (++idx[i] < cols[i]->size()) break;
-      idx[i] = 0;
-      if (i == 0) return out;
-    }
-  }
-}
-
 /// A class of intermediate rows with identical truth signatures over the
 /// whole predicate universe. Classifiers cannot (and need not) tell apart
 /// rows within one class.
@@ -225,30 +183,23 @@ Result<LearnedPredicate> LearnPredicate(
   common::Governor* const gov = opts.universe.governor;
   MITRA_GOV_CHECK(gov, "learner/start");
   // --- intermediate tables & E+/E- split (Alg. 3 lines 5-10) -------------
+  // Column extractions come from the cross-candidate memo (a local one
+  // for direct callers); only the odometer product is rebuilt per ψ.
+  std::optional<ExtractorMemoCache> local_memo;
+  ExtractorMemoCache& memo = opts.universe.memo
+                                 ? *opts.universe.memo
+                                 : local_memo.emplace(examples, opts.universe);
   std::vector<std::vector<dsl::NodeTuple>> rows_per_example;
   rows_per_example.reserve(examples.size());
-  if (opts.universe.memo != nullptr) {
-    // Column extractions come from the cross-candidate cache; only the
-    // odometer product is rebuilt per ψ.
-    std::vector<std::shared_ptr<const ColumnEvalEntry>> entries;
-    entries.reserve(psi.size());
+  for (size_t e = 0; e < examples.size(); ++e) {
+    std::vector<const std::vector<hdt::NodeId>*> cols;
+    cols.reserve(psi.size());
     for (const dsl::ColumnExtractor& pi : psi) {
-      entries.push_back(opts.universe.memo->Columns(examples, pi));
+      cols.push_back(&memo.Columns(e).Get(pi));
     }
-    for (size_t e = 0; e < examples.size(); ++e) {
-      std::vector<const std::vector<hdt::NodeId>*> cols;
-      cols.reserve(psi.size());
-      for (const auto& entry : entries) cols.push_back(&entry->values[e]);
-      MITRA_ASSIGN_OR_RETURN(std::vector<dsl::NodeTuple> rows,
-                             CrossProductFromColumns(cols, opts.eval));
-      rows_per_example.push_back(std::move(rows));
-    }
-  } else {
-    for (const Example& e : examples) {
-      MITRA_ASSIGN_OR_RETURN(std::vector<dsl::NodeTuple> rows,
-                             dsl::EvalCrossProduct(*e.tree, psi, opts.eval));
-      rows_per_example.push_back(std::move(rows));
-    }
+    MITRA_ASSIGN_OR_RETURN(std::vector<dsl::NodeTuple> rows,
+                           dsl::CrossProduct(cols, opts.eval));
+    rows_per_example.push_back(std::move(rows));
   }
 
   size_t num_rows = 0;
@@ -307,7 +258,7 @@ Result<LearnedPredicate> LearnPredicate(
   // --- predicate universe (Alg. 3 line 4) ---------------------------------
   MITRA_ASSIGN_OR_RETURN(
       PredicateUniverse universe,
-      ConstructPredicateUniverse(examples, psi, rows_per_example,
+      ConstructPredicateUniverse(memo, psi, rows_per_example,
                                  opts.universe));
   out.universe_size = universe.atoms.size();
 

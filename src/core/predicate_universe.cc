@@ -5,7 +5,6 @@
 #include <memory>
 #include <optional>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "common/strings.h"
 #include "core/extractor_memo.h"
@@ -17,14 +16,6 @@ namespace {
 
 using dsl::Atom;
 using dsl::CmpOp;
-
-/// Per (column, node extractor): facts for each column value of each
-/// example, aligned with the column's EvalColumn order. A non-owning view
-/// into either the memo cache or locally computed storage.
-struct ExtractorFactsView {
-  const dsl::NodeExtractor* extractor = nullptr;
-  const std::vector<std::vector<TargetFacts>>* facts = nullptr;
-};
 
 int CompareFacts(const TargetFacts& a, const TargetFacts& b) {
   if (a.number && b.number) {
@@ -167,10 +158,11 @@ class PatternDedup {
 }  // namespace
 
 Result<PredicateUniverse> ConstructPredicateUniverse(
-    const Examples& examples, const std::vector<dsl::ColumnExtractor>& psi,
+    ExtractorMemoCache& memo, const std::vector<dsl::ColumnExtractor>& psi,
     const std::vector<std::vector<dsl::NodeTuple>>& rows_per_example,
     const PredicateUniverseOptions& opts) {
   MITRA_SPAN(span, "predicate/universe");
+  const Examples& examples = memo.examples();
   const size_t k = psi.size();
   const size_t num_examples = examples.size();
   if (rows_per_example.size() != num_examples) {
@@ -179,31 +171,17 @@ Result<PredicateUniverse> ConstructPredicateUniverse(
   }
 
   // Column domains and per-row column-value indices.
-  // col_values[i][e] = EvalColumn(tree_e, psi[i]). Pointers into either
-  // the memo cache (kept alive by column_entries) or local storage.
-  std::vector<std::shared_ptr<const ColumnEvalEntry>> column_entries(k);
-  std::vector<std::vector<std::vector<hdt::NodeId>>> local_col_values;
-  std::vector<const std::vector<std::vector<hdt::NodeId>>*> col_values(k);
-  if (opts.memo == nullptr) local_col_values.resize(k);
-  for (size_t i = 0; i < k; ++i) {
-    if (opts.memo != nullptr) {
-      column_entries[i] = opts.memo->Columns(examples, psi[i]);
-      col_values[i] = &column_entries[i]->values;
-    } else {
-      local_col_values[i].resize(num_examples);
-      for (size_t e = 0; e < num_examples; ++e) {
-        local_col_values[i][e] = dsl::EvalColumn(*examples[e].tree, psi[i]);
-      }
-      col_values[i] = &local_col_values[i];
-    }
-  }
-  // value_index[i][e]: NodeId → index into (*col_values[i])[e].
+  // col_values[i][e] = EvalColumn(tree_e, psi[i]), owned by the memo;
+  // value_index[i][e]: NodeId → index into *col_values[i][e].
+  std::vector<std::vector<const std::vector<hdt::NodeId>*>> col_values(k);
   std::vector<std::vector<std::unordered_map<hdt::NodeId, int>>> value_index(
       k);
   for (size_t i = 0; i < k; ++i) {
+    col_values[i].resize(num_examples);
     value_index[i].resize(num_examples);
     for (size_t e = 0; e < num_examples; ++e) {
-      const auto& values = (*col_values[i])[e];
+      const auto& values = memo.Columns(e).Get(psi[i]);
+      col_values[i][e] = &values;
       for (size_t v = 0; v < values.size(); ++v) {
         value_index[i][e].emplace(values[v], static_cast<int>(v));
       }
@@ -239,60 +217,16 @@ Result<PredicateUniverse> ConstructPredicateUniverse(
   }
 
   // χi: valid node extractors per column, with pre-extracted facts.
-  NodeExtractorEnumOptions ne = opts.node_enum;
-  ne.max_extractors = opts.max_extractors_per_column;
+  std::vector<const std::vector<ExtractorWithFacts>*> chi(k);
   std::vector<std::shared_ptr<const EnumeratedEntry>> enum_entries(k);
-  std::vector<std::vector<ExtractorWithFacts>> local_chi;
-  std::vector<std::vector<ExtractorFactsView>> chi(k);
-  if (opts.memo == nullptr) local_chi.resize(k);
   for (size_t i = 0; i < k; ++i) {
-    const std::vector<ExtractorWithFacts>* source = nullptr;
-    if (opts.memo != nullptr) {
-      enum_entries[i] = opts.memo->Extractors(examples, psi[i], ne);
-      if (!enum_entries[i]->status.ok()) return enum_entries[i]->status;
-      source = &enum_entries[i]->extractors;
-    } else {
-      MITRA_ASSIGN_OR_RETURN(std::vector<EnumeratedExtractor> enumerated,
-                             EnumerateNodeExtractors(examples, psi[i], ne));
-      local_chi[i].reserve(enumerated.size());
-      for (EnumeratedExtractor& ee : enumerated) {
-        ExtractorWithFacts ef;
-        ef.extractor = std::move(ee.extractor);
-        ef.facts.resize(num_examples);
-        for (size_t e = 0; e < num_examples; ++e) {
-          const hdt::Hdt& tree = *examples[e].tree;
-          ef.facts[e].reserve(ee.targets[e].size());
-          for (hdt::NodeId m : ee.targets[e]) {
-            ef.facts[e].push_back(FactsFor(tree, m));
-          }
-        }
-        local_chi[i].push_back(std::move(ef));
-      }
-      source = &local_chi[i];
-    }
-    chi[i].reserve(source->size());
-    for (const ExtractorWithFacts& ef : *source) {
-      chi[i].push_back(ExtractorFactsView{&ef.extractor, &ef.facts});
-    }
+    enum_entries[i] = memo.Extractors(psi[i]);
+    if (!enum_entries[i]->status.ok()) return enum_entries[i]->status;
+    chi[i] = &enum_entries[i]->extractors;
   }
 
   // Constant pool (rule 4): data values of the input trees.
-  std::shared_ptr<const std::vector<std::string>> constants_entry;
-  std::vector<std::string> local_constants;
-  const std::vector<std::string>* constants = nullptr;
-  if (opts.memo != nullptr) {
-    constants_entry = opts.memo->Constants(examples, opts.max_constants);
-    constants = constants_entry.get();
-  } else {
-    std::unordered_set<std::string> seen;
-    for (const Example& e : examples) {
-      for (std::string& v : e.tree->AllDataValues()) {
-        if (local_constants.size() >= opts.max_constants) break;
-        if (seen.insert(v).second) local_constants.push_back(std::move(v));
-      }
-    }
-    constants = &local_constants;
-  }
+  const std::vector<std::string>* constants = &memo.Constants();
   std::vector<std::optional<double>> constant_nums;
   constant_nums.reserve(constants->size());
   for (const std::string& c : *constants) {
@@ -334,7 +268,7 @@ Result<PredicateUniverse> ConstructPredicateUniverse(
   auto total_values = [&](size_t i) {
     size_t n = 0;
     for (size_t e = 0; e < num_examples; ++e) {
-      n += (*col_values[i])[e].size();
+      n += col_values[i][e]->size();
     }
     return n;
   };
@@ -356,7 +290,7 @@ Result<PredicateUniverse> ConstructPredicateUniverse(
   // Rule (4): ((λn.ϕ) t[i]) ⋈ c.
   for (size_t i = 0; i < k && !collector.Full(); ++i) {
     const size_t pattern_bits = total_values(i);
-    for (const ExtractorFactsView& ef : chi[i]) {
+    for (const ExtractorWithFacts& ef : *chi[i]) {
       MITRA_GOV_CHECK(opts.governor, "universe/unary");
       for (size_t ci = 0; ci < constants->size(); ++ci) {
         for (CmpOp op : ops) {
@@ -367,8 +301,8 @@ Result<PredicateUniverse> ConstructPredicateUniverse(
           size_t bit = 0;
           bool any_true = false, any_false = false;
           for (size_t e = 0; e < num_examples; ++e) {
-            per_value[e].reserve((*ef.facts)[e].size());
-            for (const TargetFacts& tf : (*ef.facts)[e]) {
+            per_value[e].reserve(ef.facts[e].size());
+            for (const TargetFacts& tf : ef.facts[e]) {
               bool v = EvalNodeConst(op, tf, (*constants)[ci],
                                      constant_nums[ci], constant_ids[e][ci]);
               per_value[e].push_back(v);
@@ -391,7 +325,7 @@ Result<PredicateUniverse> ConstructPredicateUniverse(
                 num_rows / 8 + 32, "alloc/universe-atom"));
           }
           Atom a;
-          a.lhs_path = *ef.extractor;
+          a.lhs_path = ef.extractor;
           a.lhs_col = static_cast<int>(i);
           a.op = op;
           a.rhs_is_const = true;
@@ -411,14 +345,14 @@ Result<PredicateUniverse> ConstructPredicateUniverse(
   for (size_t i = 0; i < k && !collector.Full(); ++i) {
     for (size_t j = 0; j < k && !collector.Full(); ++j) {
       std::vector<std::pair<size_t, size_t>> pairs;
-      pairs.reserve(chi[i].size() * chi[j].size());
-      for (size_t a = 0; a < chi[i].size(); ++a) {
-        for (size_t b = 0; b < chi[j].size(); ++b) {
+      pairs.reserve(chi[i]->size() * chi[j]->size());
+      for (size_t a = 0; a < chi[i]->size(); ++a) {
+        for (size_t b = 0; b < chi[j]->size(); ++b) {
           pairs.emplace_back(a, b);
         }
       }
       auto depth_of = [&](size_t col, size_t idx) {
-        return chi[col][idx].extractor->NumConstructs();
+        return (*chi[col])[idx].extractor.NumConstructs();
       };
       std::stable_sort(
           pairs.begin(), pairs.end(),
@@ -431,7 +365,7 @@ Result<PredicateUniverse> ConstructPredicateUniverse(
       size_t pattern_bits = 0;
       for (size_t e = 0; e < num_examples; ++e) {
         pattern_bits +=
-            (*col_values[i])[e].size() * (*col_values[j])[e].size();
+            col_values[i][e]->size() * col_values[j][e]->size();
       }
       for (const auto& [pi1, pi2] : pairs) {
         {
@@ -445,8 +379,8 @@ Result<PredicateUniverse> ConstructPredicateUniverse(
             }
             if (op != CmpOp::kEq && i == j && pi1 == pi2) continue;
             MITRA_COUNT("predicate/universe/atoms_considered", 1);
-            const ExtractorFactsView& f1 = chi[i][pi1];
-            const ExtractorFactsView& f2 = chi[j][pi2];
+            const ExtractorWithFacts& f1 = (*chi[i])[pi1];
+            const ExtractorWithFacts& f2 = (*chi[j])[pi2];
             // Evaluate per (value_i, value_j) pair, then broadcast.
             std::vector<std::vector<std::vector<bool>>> per_pair(
                 num_examples);
@@ -454,12 +388,11 @@ Result<PredicateUniverse> ConstructPredicateUniverse(
             size_t bit = 0;
             bool any_true = false, any_false = false;
             for (size_t e = 0; e < num_examples; ++e) {
-              size_t ni = (*f1.facts)[e].size(), nj = (*f2.facts)[e].size();
+              size_t ni = f1.facts[e].size(), nj = f2.facts[e].size();
               per_pair[e].assign(ni, std::vector<bool>(nj, false));
               for (size_t a = 0; a < ni; ++a) {
                 for (size_t b = 0; b < nj; ++b) {
-                  bool v = EvalNodeNode(op, (*f1.facts)[e][a],
-                                        (*f2.facts)[e][b]);
+                  bool v = EvalNodeNode(op, f1.facts[e][a], f2.facts[e][b]);
                   per_pair[e][a][b] = v;
                   if (v) pattern.Set(bit);
                   ++bit;
@@ -489,11 +422,11 @@ Result<PredicateUniverse> ConstructPredicateUniverse(
                   num_rows / 8 + 32, "alloc/universe-atom"));
             }
             Atom a;
-            a.lhs_path = *f1.extractor;
+            a.lhs_path = f1.extractor;
             a.lhs_col = static_cast<int>(i);
             a.op = op;
             a.rhs_is_const = false;
-            a.rhs_path = *f2.extractor;
+            a.rhs_path = f2.extractor;
             a.rhs_col = static_cast<int>(j);
             collector.Add(std::move(a), std::move(bits));
           }

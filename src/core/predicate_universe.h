@@ -43,11 +43,10 @@ struct PredicateUniverseOptions {
   bool use_inequalities = true;
   /// Hard cap on surviving (deduped) atoms.
   size_t max_atoms = 20'000;
-  /// Optional cross-candidate memo cache (see extractor_memo.h): caches
-  /// EvalColumn results, enumerated node extractors, and target facts
-  /// across the ψ candidates of one synthesis run. Purely a performance
-  /// device — the constructed universe is identical with or without it.
-  /// Not owned; must outlive all calls that use these options.
+  /// Cross-candidate memo cache (see extractor_memo.h) shared by the ψ
+  /// candidates of one synthesis run, built over the same examples;
+  /// LearnPredicate builds a local one when unset. Not owned; must outlive
+  /// all calls that use these options.
   ExtractorMemoCache* memo = nullptr;
   /// Optional resource governor: rule-4/5 loops check it per candidate
   /// atom batch and charge bytes for every kept truth vector.
@@ -64,10 +63,12 @@ struct PredicateUniverse {
   size_t num_rows = 0;
 };
 
-/// Builds Φ for table extractor `psi`. `rows_per_example[e]` must be the
-/// materialized cross product ⟦ψ⟧ on example e (from dsl::EvalCrossProduct).
+/// Builds Φ for table extractor `psi` over `memo`'s examples, reading
+/// column extractions, χᵢ and constants from `memo` (which also fixes the
+/// enumeration options and the constant cap). `rows_per_example[e]` must
+/// be the materialized cross product ⟦ψ⟧ on example e.
 Result<PredicateUniverse> ConstructPredicateUniverse(
-    const Examples& examples, const std::vector<dsl::ColumnExtractor>& psi,
+    ExtractorMemoCache& memo, const std::vector<dsl::ColumnExtractor>& psi,
     const std::vector<std::vector<dsl::NodeTuple>>& rows_per_example,
     const PredicateUniverseOptions& opts = {});
 

@@ -219,19 +219,19 @@ Result<SynthesisResult> LearnTransformation(const Examples& examples,
   frontier.push(Combo{combo_cost(zero), zero});
   enqueued.insert(zero);
 
+  // One governor pointer for the whole run: the memo cache binds the
+  // enumeration options (governor included) for every combo, and a shared
+  // token is what makes a single overrun stop every in-flight sibling.
+  PredicateLearnOptions popts = opts.predicate;
+  popts.universe.governor = gov;
+  popts.universe.node_enum.governor = gov;
+  popts.eval.governor = gov;
   // Cross-candidate memoization: consecutive ψ share almost all column
   // extractors, so EvalColumn results, enumerated node extractors and
   // target facts are cached across combos (see extractor_memo.h). Scoped
   // to this call; purely a performance device.
-  ExtractorMemoCache memo;
-  PredicateLearnOptions popts = opts.predicate;
-  if (opts.memoize_extractors) popts.universe.memo = &memo;
-  // One governor pointer for the whole run: the memo cache requires
-  // identical options across combos, and a shared token is what makes a
-  // single overrun stop every in-flight sibling.
-  popts.universe.governor = gov;
-  popts.universe.node_enum.governor = gov;
-  popts.eval.governor = gov;
+  ExtractorMemoCache memo(examples, popts.universe);
+  popts.universe.memo = &memo;
 
   // The expected tables normalized once (Dedup + SortRows is invariant
   // across candidates; hoisted out of the per-combo verification).
@@ -248,6 +248,7 @@ Result<SynthesisResult> LearnTransformation(const Examples& examples,
   struct Outcome {
     Status failure;         ///< non-OK when LearnPredicate failed
     size_t universe_size = 0;
+    bool cover_optimal = true;
     bool verified = false;
     dsl::Program program;   ///< set iff verified
     size_t excess = 0, spread = 0;
@@ -323,6 +324,7 @@ Result<SynthesisResult> LearnTransformation(const Examples& examples,
         return Status::OK();
       }
       out.universe_size = learned->universe_size;
+      out.cover_optimal = learned->cover_optimal;
       dsl::Program p;
       p.columns = std::move(psi);
       p.atoms = learned->atoms;
@@ -396,6 +398,7 @@ Result<SynthesisResult> LearnTransformation(const Examples& examples,
       if (ranked < best_cost) {
         best_cost = ranked;
         best.program = std::move(out.program);
+        stats.cover_optimal = out.cover_optimal;
         found = true;
       }
       if (stats.table_extractors_consistent >= opts.max_consistent_programs) {

@@ -62,11 +62,6 @@ struct SynthesisOptions {
   /// (modulo the wall-clock time limit, which is inherently timing-
   /// dependent).
   int num_threads = 1;
-  /// Cross-candidate memoization (extractor_memo.h): EvalColumn results,
-  /// enumerated node extractors, and target facts are cached across the
-  /// ψ candidates of one run. Purely a performance device — results are
-  /// identical; exposed only for A/B benchmarking.
-  bool memoize_extractors = true;
 };
 
 /// Per-synthesis statistics, reported by the evaluation harness.
@@ -75,9 +70,15 @@ struct SynthesisStats {
   size_t table_extractors_tried = 0;
   size_t table_extractors_consistent = 0;
   size_t max_universe_size = 0;
-  /// Cross-candidate memo cache traffic (0/0 when memoization is off).
+  /// Cross-candidate memo traffic: χᵢ and constant-pool lookups (column
+  /// extractions count under exec/column_cache/* in `metrics`).
   size_t memo_hits = 0;
   size_t memo_misses = 0;
+  /// Whether the returned program's predicate came from a set cover
+  /// proven minimal (Thm 2). False when branch and bound exhausted its
+  /// node budget and kept the best cover found (seeded by the greedy
+  /// one), or when `predicate.exact_cover` is off.
+  bool cover_optimal = true;
   double seconds = 0.0;
   /// Governor accounting for the run (all-zero when an external governor
   /// was supplied — its owner reads the shared usage directly).

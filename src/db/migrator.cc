@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <deque>
 #include <functional>
 #include <optional>
 #include <set>
@@ -787,10 +788,10 @@ Database Migrator::ExecuteTolerant(const std::vector<hdt::Hdt*>& docs,
   }
 
   // Cross-table memoization (§9): the tables' programs run over the same
-  // documents and share column extractions through a thread-safe cache.
-  // It is keyed by printed extractor only — an entry from one tree is
-  // garbage on another — so each document gets its own.
-  std::vector<core::ColumnCache> doc_caches(docs.size());
+  // documents and share column extractions through one thread-safe
+  // ColumnCache per document, bound to that document's tree.
+  std::deque<core::ColumnCache> doc_caches;
+  for (const hdt::Hdt* doc : docs) doc_caches.emplace_back(*doc);
   // Tables are independent: each runs under its own fresh governor (one
   // runaway table exhausts only its own budget) and writes only its own
   // record and slot, so they run on the pool when one is supplied and are

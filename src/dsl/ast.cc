@@ -1,10 +1,24 @@
 #include "dsl/ast.h"
 
 #include <algorithm>
+#include <functional>
 #include <limits>
 #include <set>
 
+#include "common/strings.h"
+
 namespace mitra::dsl {
+
+size_t ColumnExtractorHash::operator()(
+    const ColumnExtractor& pi) const noexcept {
+  uint64_t h = pi.steps.size();
+  for (const ColStep& st : pi.steps) {
+    h = HashCombine(h, static_cast<uint64_t>(st.op));
+    h = HashCombine(h, std::hash<std::string>{}(st.tag));
+    h = HashCombine(h, static_cast<uint64_t>(static_cast<uint32_t>(st.pos)));
+  }
+  return static_cast<size_t>(h);
+}
 
 CmpOp SwapCmpOp(CmpOp op) {
   switch (op) {

@@ -60,6 +60,12 @@ struct ColumnExtractor {
   int NumConstructs() const { return static_cast<int>(steps.size()); }
 };
 
+/// Value hash of a column extractor (consistent with operator==): the key
+/// every column-extraction cache uses, so no lookup renders ToString.
+struct ColumnExtractorHash {
+  size_t operator()(const ColumnExtractor& pi) const noexcept;
+};
+
 // ---------------------------------------------------------------------------
 // Node extractors
 // ---------------------------------------------------------------------------

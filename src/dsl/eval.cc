@@ -161,22 +161,36 @@ bool EvalDnf(const hdt::Hdt& tree, const Dnf& f,
   return false;
 }
 
+Status CheckColumnCount(size_t num_columns) {
+  if (num_columns <= kMaxEvalColumns) return Status::OK();
+  return Status::ResourceExhausted(
+      "program has " + std::to_string(num_columns) + " columns (limit " +
+      std::to_string(kMaxEvalColumns) + ")");
+}
+
 Result<std::vector<NodeTuple>> EvalCrossProduct(
     const hdt::Hdt& tree, const std::vector<ColumnExtractor>& columns,
     const EvalOptions& opts) {
-  if (columns.size() > kMaxEvalColumns) {
-    return Status::ResourceExhausted(
-        "program has " + std::to_string(columns.size()) +
-        " columns (limit " + std::to_string(kMaxEvalColumns) + ")");
-  }
-  std::vector<std::vector<hdt::NodeId>> cols;
-  cols.reserve(columns.size());
-  uint64_t total = 1;
+  MITRA_RETURN_IF_ERROR(CheckColumnCount(columns.size()));
+  std::vector<std::vector<hdt::NodeId>> storage;
+  storage.reserve(columns.size());  // keeps the pointers in `cols` valid
+  std::vector<const std::vector<hdt::NodeId>*> cols;
   for (const ColumnExtractor& pi : columns) {
     MITRA_GOV_CHECK(opts.governor, "eval/column");
-    cols.push_back(EvalColumn(tree, pi));
-    total *= cols.back().size();
-    if (cols.back().empty()) return std::vector<NodeTuple>{};
+    cols.push_back(&storage.emplace_back(EvalColumn(tree, pi)));
+    if (cols.back()->empty()) break;  // empty product: skip the rest
+  }
+  return CrossProduct(cols, opts);
+}
+
+Result<std::vector<NodeTuple>> CrossProduct(
+    const std::vector<const std::vector<hdt::NodeId>*>& columns,
+    const EvalOptions& opts) {
+  MITRA_RETURN_IF_ERROR(CheckColumnCount(columns.size()));
+  uint64_t total = 1;
+  for (const std::vector<hdt::NodeId>* col : columns) {
+    total *= col->size();
+    if (col->empty()) return std::vector<NodeTuple>{};
     if (total > opts.max_intermediate_tuples) {
       return Status::ResourceExhausted(
           "intermediate table would have " + std::to_string(total) +
@@ -194,22 +208,22 @@ Result<std::vector<NodeTuple>> EvalCrossProduct(
         "alloc/cross-product"));
   }
   std::vector<NodeTuple> out;
+  if (columns.empty()) return out;
   out.reserve(static_cast<size_t>(total));
   NodeTuple t(columns.size());
   // Odometer enumeration: column 0 is the outermost loop, matching the
   // row order of the paper's intermediate-table figure (Fig. 4b).
   std::vector<size_t> idx(columns.size(), 0);
-  if (columns.empty()) return out;
   while (true) {
     if (opts.governor != nullptr && (out.size() & 0xFFF) == 0xFFF) {
       MITRA_GOV_CHECK(opts.governor, "eval/cross-product");
     }
-    for (size_t i = 0; i < columns.size(); ++i) t[i] = cols[i][idx[i]];
+    for (size_t i = 0; i < columns.size(); ++i) t[i] = (*columns[i])[idx[i]];
     out.push_back(t);
     size_t i = columns.size();
     while (i > 0) {
       --i;
-      if (++idx[i] < cols[i].size()) break;
+      if (++idx[i] < columns[i]->size()) break;
       idx[i] = 0;
       if (i == 0) return out;
     }

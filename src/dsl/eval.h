@@ -62,6 +62,9 @@ struct EvalOptions {
 /// kMaxNestingDepth guard: recursion over columns is bounded by this.
 inline constexpr size_t kMaxEvalColumns = 256;
 
+/// kResourceExhausted when `num_columns` exceeds kMaxEvalColumns.
+Status CheckColumnCount(size_t num_columns);
+
 /// Evaluates the full program: data projection of the filtered cross
 /// product (the ⟦filter⟧ rule of Fig. 7).
 Result<hdt::Table> EvalProgram(const hdt::Hdt& tree, const Program& p,
@@ -73,9 +76,18 @@ Result<std::vector<NodeTuple>> EvalProgramNodeTuples(
     const hdt::Hdt& tree, const Program& p, const EvalOptions& opts = {});
 
 /// Materializes the intermediate table ψ(τ) = π1(τ) × … × πk(τ) without
-/// filtering (used by the predicate learner to build E+/E-).
+/// filtering: EvalColumn per column, then CrossProduct.
 Result<std::vector<NodeTuple>> EvalCrossProduct(
     const hdt::Hdt& tree, const std::vector<ColumnExtractor>& columns,
+    const EvalOptions& opts = {});
+
+/// The cross product of already-evaluated columns (the predicate learner
+/// passes memoized extractions to build E+/E-). Rows are in odometer order,
+/// column 0 outermost (Fig. 4b). Enforces kMaxEvalColumns and
+/// `max_intermediate_tuples`, charges the governor for the whole product
+/// up front and polls it while materializing.
+Result<std::vector<NodeTuple>> CrossProduct(
+    const std::vector<const std::vector<hdt::NodeId>*>& columns,
     const EvalOptions& opts = {});
 
 /// Projects node tuples to their data strings (nil data → empty string).

@@ -231,6 +231,39 @@ TEST(EvalProgram, ResourceCapOnHugeCrossProduct) {
   EXPECT_EQ(result.status().code(), StatusCode::kResourceExhausted);
 }
 
+TEST(CrossProduct, PrecomputedColumnsGetEveryCheck) {
+  // The predicate learner feeds memoized columns to CrossProduct, so it
+  // must match EvalCrossProduct row for row and enforce the same limits.
+  hdt::Hdt t = ParseXmlOrDie(kDoc);
+  ColumnExtractor every{{{ColOp::kDescendants, "fid", 0}}};
+  std::vector<hdt::NodeId> col = EvalColumn(t, every);
+  std::vector<const std::vector<hdt::NodeId>*> cols(4, &col);
+  auto rows = CrossProduct(cols);
+  auto want = EvalCrossProduct(t, std::vector<ColumnExtractor>(4, every));
+  ASSERT_TRUE(rows.ok());
+  ASSERT_TRUE(want.ok());
+  EXPECT_EQ(rows->size(), 16u);
+  EXPECT_EQ(*rows, *want);
+
+  EvalOptions capped;
+  capped.max_intermediate_tuples = 8;
+  EXPECT_EQ(CrossProduct(cols, capped).status().code(),
+            StatusCode::kResourceExhausted);
+
+  common::ResourceLimits limits;
+  limits.max_rows = 8;
+  common::Governor gov(limits);
+  EvalOptions governed;
+  governed.governor = &gov;
+  EXPECT_EQ(CrossProduct(cols, governed).status().code(),
+            StatusCode::kResourceExhausted);
+
+  std::vector<const std::vector<hdt::NodeId>*> wide(kMaxEvalColumns + 1,
+                                                    &col);
+  EXPECT_EQ(CrossProduct(wide).status().code(),
+            StatusCode::kResourceExhausted);
+}
+
 TEST(AstPrinting, PaperLikeSyntax) {
   ColumnExtractor pi = Col(
       {{ColOp::kChildren, "Person", 0}, {ColOp::kPChildren, "name", 0}});

@@ -308,7 +308,7 @@ TEST(ColumnCacheTest, SharesExtractionsAcrossPrograms) {
   Program p1, p2;
   p1.columns = {Fids()};
   p2.columns = {Fids(), Names()};
-  ColumnCache cache;
+  ColumnCache cache(t);
   ExecuteOptions opts;
   opts.column_cache = &cache;
   OptimizedExecutor e1(p1), e2(p2);
@@ -324,6 +324,25 @@ TEST(ColumnCacheTest, SharesExtractionsAcrossPrograms) {
   ASSERT_TRUE(with.ok());
   ASSERT_TRUE(without.ok());
   EXPECT_TRUE(with->BagEquals(*without));
+}
+
+TEST(ColumnCacheTest, RejectsCacheBoundToAnotherTree) {
+  // The second document has no fid attributes, so serving the first tree's
+  // cached extraction on it would silently return foreign node ids; the
+  // binding turns that into an error.
+  hdt::Hdt t1 = test::ParseXmlOrDie(kDoc);
+  hdt::Hdt t2 = test::ParseXmlOrDie("<r><p id=\"1\"><n>A</n></p></r>");
+  Program p;
+  p.columns = {Fids()};
+  ColumnCache cache(t1);
+  ExecuteOptions opts;
+  opts.column_cache = &cache;
+  OptimizedExecutor exec(p);
+  ASSERT_TRUE(exec.ExecuteNodes(t1, opts).ok());
+  auto wrong = exec.ExecuteNodes(t2, opts);
+  ASSERT_FALSE(wrong.ok());
+  EXPECT_EQ(wrong.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(cache.size(), 1u);
 }
 
 }  // namespace

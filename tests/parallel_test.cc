@@ -103,7 +103,7 @@ TEST(ThreadPool, HardwareThreadsIsPositive) {
 
 /// Learns every solvable corpus task at the given thread count and
 /// returns the programs keyed by task order.
-std::vector<std::string> SynthesizeCorpus(int threads, bool memoize) {
+std::vector<std::string> SynthesizeCorpus(int threads) {
   std::vector<std::string> programs;
   for (const workload::CorpusTask& task : workload::FullCorpus()) {
     if (!task.expect_solvable) continue;
@@ -115,7 +115,6 @@ std::vector<std::string> SynthesizeCorpus(int threads, bool memoize) {
     if (!table.ok()) continue;
     core::SynthesisOptions opts;
     opts.num_threads = threads;
-    opts.memoize_extractors = memoize;
     auto r = core::LearnTransformation(*tree, *table, opts);
     programs.push_back(task.id + "\t" +
                        (r.ok() ? dsl::ToString(r->program)
@@ -125,23 +124,14 @@ std::vector<std::string> SynthesizeCorpus(int threads, bool memoize) {
 }
 
 TEST(ParallelSynthesis, CorpusProgramsIdenticalAcrossThreadCounts) {
-  std::vector<std::string> base = SynthesizeCorpus(1, /*memoize=*/true);
+  std::vector<std::string> base = SynthesizeCorpus(1);
   ASSERT_FALSE(base.empty());
   for (int threads : {4, 8}) {
-    std::vector<std::string> got = SynthesizeCorpus(threads, true);
+    std::vector<std::string> got = SynthesizeCorpus(threads);
     ASSERT_EQ(got.size(), base.size());
     for (size_t i = 0; i < base.size(); ++i) {
       EXPECT_EQ(got[i], base[i]) << "threads=" << threads;
     }
-  }
-}
-
-TEST(ParallelSynthesis, MemoizationDoesNotChangePrograms) {
-  std::vector<std::string> with = SynthesizeCorpus(1, /*memoize=*/true);
-  std::vector<std::string> without = SynthesizeCorpus(1, /*memoize=*/false);
-  ASSERT_EQ(with.size(), without.size());
-  for (size_t i = 0; i < with.size(); ++i) {
-    EXPECT_EQ(with[i], without[i]);
   }
 }
 
@@ -156,13 +146,6 @@ TEST(ParallelSynthesis, ReportsMemoTraffic) {
   auto result = core::LearnTransformation(t, r);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_GT(result->stats.memo_misses, 0u);
-
-  core::SynthesisOptions off;
-  off.memoize_extractors = false;
-  auto result_off = core::LearnTransformation(t, r, off);
-  ASSERT_TRUE(result_off.ok());
-  EXPECT_EQ(result_off->stats.memo_hits, 0u);
-  EXPECT_EQ(result_off->stats.memo_misses, 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -231,18 +214,11 @@ TEST(ParallelExecutor, OverflowStatusMatchesSequential) {
 
 TEST(ColumnCacheThreadSafety, ConcurrentInsertFirstWins) {
   hdt::Hdt t = ParseXmlOrDie("<r><a>1</a><a>2</a></r>");
-  dsl::ColumnExtractor pi;  // trivial extractor: whatever default is, key
-                            // only depends on its string form
-  core::ColumnCache cache;
+  dsl::ColumnExtractor pi;  // trivial extractor: the key is its value
+  core::ColumnCache cache(t);
   common::ThreadPool pool(4);
   std::vector<const std::vector<hdt::NodeId>*> ptrs(64);
-  common::ParallelFor(&pool, 64, [&](size_t i) {
-    const auto* p = cache.Lookup(pi);
-    if (p == nullptr) {
-      p = cache.Insert(pi, dsl::EvalColumn(t, pi));
-    }
-    ptrs[i] = p;
-  });
+  common::ParallelFor(&pool, 64, [&](size_t i) { ptrs[i] = &cache.Get(pi); });
   // Every thread must observe the same stored vector (first-wins).
   for (size_t i = 1; i < ptrs.size(); ++i) {
     ASSERT_EQ(ptrs[i], ptrs[0]);

@@ -24,6 +24,30 @@ TEST(Synthesizer, FlatProjection) {
   ExpectProgramYields(t, result.program, r);
 }
 
+TEST(Synthesizer, ReportsWhetherTheCoverIsProvenMinimal) {
+  // Names × cities has spurious pairs, so a predicate (and a set cover)
+  // is needed. The exact solver proves this tiny cover minimal (Thm 2);
+  // the greedy cover never claims to be.
+  hdt::Hdt t = ParseXmlOrDie(R"(
+<people>
+  <person><name>A</name><city>X</city></person>
+  <person><name>B</name><city>Y</city></person>
+</people>
+)");
+  hdt::Table r = MakeTable({{"A", "X"}, {"B", "Y"}});
+  auto exact = LearnTransformation(t, r);
+  ASSERT_TRUE(exact.ok()) << exact.status().ToString();
+  EXPECT_FALSE(exact->program.formula.IsTrue());
+  EXPECT_TRUE(exact->stats.cover_optimal);
+
+  SynthesisOptions greedy;
+  greedy.predicate.exact_cover = false;
+  auto approx = LearnTransformation(t, r, greedy);
+  ASSERT_TRUE(approx.ok()) << approx.status().ToString();
+  ExpectProgramYields(t, approx->program, r);
+  EXPECT_FALSE(approx->stats.cover_optimal);
+}
+
 TEST(Synthesizer, ConstantFilter) {
   // Keep items with price < 20. The kept skus {ant, cat} are neither a
   // lexicographic interval nor a single equality, so the only single-atom

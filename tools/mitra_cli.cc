@@ -227,6 +227,11 @@ int Synth(const std::map<std::string, std::string>& flags) {
                "consistent)\n",
                result->stats.seconds, result->stats.table_extractors_tried,
                result->stats.table_extractors_consistent);
+  if (!result->stats.cover_optimal) {
+    std::fprintf(stderr, "note: the predicate's set cover is not proven "
+                 "minimal (branch and bound hit its node budget; the best "
+                 "cover found is used)\n");
+  }
 
   auto save = [&](const char* flag, const std::string& content) {
     auto it = flags.find(flag);
