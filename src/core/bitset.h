@@ -33,6 +33,17 @@ class DynBitset {
     return c;
   }
 
+  /// Calls `f(i)` for every set bit `i` in increasing order, a word at a
+  /// time: one count-trailing-zeros per set bit, nothing per clear bit.
+  template <typename F>
+  void ForEachSetBit(F&& f) const {
+    for (size_t wi = 0; wi < w_.size(); ++wi) {
+      for (uint64_t w = w_[wi]; w != 0; w &= w - 1) {
+        f((wi << 6) + static_cast<size_t>(__builtin_ctzll(w)));
+      }
+    }
+  }
+
   bool Any() const {
     for (uint64_t w : w_) {
       if (w) return true;

@@ -6,6 +6,7 @@
 #include <tuple>
 
 #include "core/set_cover.h"
+#include "obs/obs.h"
 
 namespace mitra::core {
 
@@ -125,6 +126,7 @@ bool EvalVarDnf(const VarDnf& dnf, uint32_t assignment) {
 Result<VarDnf> MinimizeDnf(int num_vars, const std::vector<uint32_t>& on_rows,
                            const std::vector<uint32_t>& off_rows,
                            const QmOptions& opts) {
+  MITRA_SPAN(span, "qm/minimize");
   if (num_vars < 0 || num_vars > 30) {
     return Status::InvalidArgument("MinimizeDnf supports up to 30 variables");
   }

@@ -1,6 +1,7 @@
 #include "core/set_cover.h"
 
 #include <algorithm>
+#include <deque>
 
 #include "obs/obs.h"
 
@@ -36,10 +37,24 @@ std::vector<int> GreedyCover(const std::vector<DynBitset>& sets,
 
 /// Branch & bound over the reduced family. Per-node work is kept small:
 /// the pivot is the first uncovered element in a static
-/// fewest-candidates-first order, branching uses precomputed
-/// element→candidate-set lists, and the lower bound uses the static
-/// maximum set size (an upper bound on any future gain).
+/// fewest-candidates-first order, branching uses element→candidate-set
+/// lists built the first time an element is a pivot, and the lower bound
+/// uses the static maximum set size (an upper bound on any future gain).
+///
+/// A parent runs each child's prologue (Enter) before materialising the
+/// child's covered set, so a child cut by the bound costs no copy; a
+/// surviving child's covered set lives in a per-depth frame reused by its
+/// siblings. Every counter and the search order are those of the plain
+/// recursion "count the node, poll, test, bound, branch".
 struct BnB {
+  BnB(const std::vector<DynBitset>& sets, size_t num_elements,
+      uint64_t budget, common::Governor* governor, std::vector<int> incumbent)
+      : sets(sets),
+        num_elements(num_elements),
+        budget(budget),
+        governor(governor),
+        best(std::move(incumbent)) {}
+
   const std::vector<DynBitset>& sets;
   size_t num_elements;
   uint64_t budget;
@@ -48,73 +63,99 @@ struct BnB {
   uint64_t bounded = 0;  ///< subtrees cut by the lower-bound test
   bool exhausted = false;
 
-  std::vector<std::vector<int>> candidates_of;  // element → set ids
+  std::vector<uint32_t> num_candidates;         // element → #sets holding it
+  std::vector<std::vector<int>> candidates_of;  // element → set ids (lazy)
   std::vector<size_t> element_order;            // fewest candidates first
   size_t max_set_size = 1;
 
-  std::vector<int> best;     // best cover found
-  std::vector<int> current;  // current partial selection
+  std::vector<int> best;         // best cover found
+  std::vector<int> current;      // current partial selection
+  std::deque<DynBitset> frames;  // covered set per depth (stable refs)
 
   void Init() {
-    candidates_of.assign(num_elements, {});
-    for (size_t k = 0; k < sets.size(); ++k) {
-      for (size_t e = 0; e < num_elements; ++e) {
-        if (sets[k].Test(e)) {
-          candidates_of[e].push_back(static_cast<int>(k));
-        }
-      }
-      max_set_size = std::max(max_set_size, sets[k].Count());
+    num_candidates.assign(num_elements, 0);
+    for (const DynBitset& s : sets) {
+      s.ForEachSetBit([&](size_t e) { ++num_candidates[e]; });
+      max_set_size = std::max(max_set_size, s.Count());
     }
+    candidates_of.assign(num_elements, {});
     element_order.resize(num_elements);
     for (size_t e = 0; e < num_elements; ++e) element_order[e] = e;
     std::stable_sort(element_order.begin(), element_order.end(),
                      [&](size_t a, size_t b) {
-                       return candidates_of[a].size() <
-                              candidates_of[b].size();
+                       return num_candidates[a] < num_candidates[b];
                      });
   }
 
-  void Search(const DynBitset& covered, size_t remaining) {
+  /// The sets holding `e`, in increasing index. Every element has at
+  /// least one (MinSetCover checks feasibility), so empty means unbuilt.
+  const std::vector<int>& Candidates(size_t e) {
+    std::vector<int>& list = candidates_of[e];
+    if (list.empty()) {
+      list.reserve(num_candidates[e]);
+      for (size_t k = 0; k < sets.size(); ++k) {
+        if (sets[k].Test(e)) list.push_back(static_cast<int>(k));
+      }
+    }
+    return list;
+  }
+
+  /// A node's prologue, for the selection in `current` leaving
+  /// `remaining` elements uncovered: counts it against the budget, polls
+  /// the governor, records a complete cover and applies the lower bound.
+  /// True when the node must still be branched on.
+  bool Enter(size_t remaining) {
     if (++nodes > budget) {
       exhausted = true;
-      return;
+      return false;
     }
     if (governor != nullptr && (nodes & 0x3FF) == 0 &&
         !governor->Check("cover/branch-bound").ok()) {
       exhausted = true;  // incumbent stays valid; caller surfaces the cause
-      return;
+      return false;
     }
     if (remaining == 0) {
       if (best.empty() || current.size() < best.size()) best = current;
-      return;
+      return false;
     }
     // Lower bound with the static max set size.
     size_t lb = (remaining + max_set_size - 1) / max_set_size;
     if (!best.empty() && current.size() + lb >= best.size()) {
       ++bounded;
-      return;
+      return false;
     }
+    return true;
+  }
 
+  /// Branches on the node whose covered set is `frames[depth]`. Every
+  /// element before position `start` of `element_order` is covered.
+  void Branch(size_t depth, size_t remaining, size_t start) {
+    const DynBitset& covered = frames[depth];
     // Pivot: first uncovered element in static most-constrained order.
-    int pivot = -1;
-    for (size_t e : element_order) {
-      if (!covered.Test(e)) {
-        pivot = static_cast<int>(e);
-        break;
-      }
-    }
-    if (pivot < 0) return;  // unreachable: remaining > 0
+    size_t pos = start;
+    while (covered.Test(element_order[pos])) ++pos;  // remaining > 0
+    if (frames.size() == depth + 1) frames.emplace_back(num_elements);
 
-    for (int k : candidates_of[static_cast<size_t>(pivot)]) {
+    for (int k : Candidates(element_order[pos])) {
       if (exhausted) return;
-      size_t gain = sets[static_cast<size_t>(k)].CountAndNot(covered);
-      if (gain == 0) continue;
-      DynBitset next = covered;
-      next |= sets[static_cast<size_t>(k)];
+      const DynBitset& set = sets[static_cast<size_t>(k)];
+      size_t gain = set.CountAndNot(covered);  // >= 1: `set` holds the pivot
       current.push_back(k);
-      Search(next, remaining - gain);
+      if (Enter(remaining - gain)) {
+        DynBitset& next = frames[depth + 1];
+        next = covered;
+        next |= set;
+        // The pivot is covered by `set`, so the child's scan starts after.
+        Branch(depth + 1, remaining - gain, pos + 1);
+      }
       current.pop_back();
     }
+  }
+
+  void Solve() {
+    Init();
+    frames.emplace_back(num_elements);
+    if (Enter(num_elements)) Branch(0, num_elements, 0);
   }
 };
 
@@ -123,6 +164,7 @@ struct BnB {
 Result<SetCoverResult> MinSetCover(const std::vector<DynBitset>& sets,
                                    size_t num_elements,
                                    const SetCoverOptions& opts) {
+  MITRA_SPAN(span, "setcover/solve");
   SetCoverResult result;
   if (num_elements == 0) {
     result.optimal = true;
@@ -192,12 +234,9 @@ Result<SetCoverResult> MinSetCover(const std::vector<DynBitset>& sets,
   incumbent.erase(std::unique(incumbent.begin(), incumbent.end()),
                   incumbent.end());
 
-  BnB solver{reduced, num_elements, opts.max_nodes, opts.governor,
-             0,       0,            false,          {},
-             {},      1,            incumbent,      {}};
-  solver.Init();
-  DynBitset covered(num_elements);
-  solver.Search(covered, num_elements);
+  BnB solver(reduced, num_elements, opts.max_nodes, opts.governor,
+             std::move(incumbent));
+  solver.Solve();
   MITRA_COUNT("setcover/bnb/calls", 1);
   MITRA_COUNT("setcover/bnb/nodes_expanded", solver.nodes);
   MITRA_COUNT("setcover/bnb/nodes_bounded", solver.bounded);

@@ -418,6 +418,10 @@ std::string MigrationReport::ToJson() const {
     out += ",\"rung\":" + std::to_string(t.rung);
     out += ",\"cache_hit\":";
     out += t.cache_hit ? "true" : "false";
+    if (t.cover_optimal.has_value()) {
+      out += ",\"cover_optimal\":";
+      out += *t.cover_optimal ? "true" : "false";
+    }
     out += ",\"learn_seconds\":" + JsonDouble(t.learn_seconds);
     out += ",\"execute_seconds\":" + JsonDouble(t.execute_seconds);
     out += ",\"rows_emitted\":" + std::to_string(t.rows_emitted);
@@ -585,6 +589,7 @@ Status Migrator::LearnTableLadder(const TableDef& t, const hdt::Hdt& tree,
           dsl::EvalProgramNodeTuples(tree, result.program, ev));
       MITRA_RETURN_IF_ERROR(
           InstallProgram(t, result.program, std::move(tuples), seconds));
+      report->cover_optimal = result.stats.cover_optimal;
       if (store_in_cache) StoreCachedProgram(tree, example, opts, result);
       return Status::OK();
     });

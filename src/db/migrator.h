@@ -141,6 +141,10 @@ struct TableReport {
   /// True when the program came from MigratorOptions::program_cache
   /// (verified against the example, no synthesis run).
   bool cache_hit = false;
+  /// Thm 2 status of the program's predicate: whether its set cover was
+  /// proven minimal (SynthesisStats::cover_optimal). Set only when rung 0
+  /// or 1 synthesised the program; unset for cache hits and rung 2.
+  std::optional<bool> cover_optimal;
   double learn_seconds = 0.0;
   double execute_seconds = 0.0;
   std::uint64_t rows_emitted = 0;

@@ -202,6 +202,49 @@ TEST(MigrationReport, ToJsonCarriesTheReport) {
   EXPECT_NE(json.find("\"usage\""), std::string::npos) << json;
 }
 
+TEST(MigrationReport, CoverOptimalityIsReportedPerTable) {
+  // Thm 2 per table: the default exact cover proves every predicate
+  // minimal; the greedy cover never claims to.
+  hdt::Hdt example = ParseXmlOrDie(kDoc);
+  Migrator exact(PubSchema());
+  auto report = exact.LearnTolerant(example, GoodExamples());
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  for (const TableReport& t : report->tables) {
+    ASSERT_TRUE(t.cover_optimal.has_value()) << t.table;
+    EXPECT_TRUE(*t.cover_optimal) << t.table;
+  }
+  std::string json = report->ToJson();
+  EXPECT_NE(json.find("\"cover_optimal\":true"), std::string::npos) << json;
+  EXPECT_EQ(json.find("\"cover_optimal\":false"), std::string::npos) << json;
+
+  // `papers` needs a predicate (titles × years has spurious pairs), so
+  // its program comes from the set-cover path.
+  MigratorOptions greedy;
+  greedy.synthesis.predicate.exact_cover = false;
+  Migrator approx(PubSchema());
+  auto greedy_report = approx.LearnTolerant(example, GoodExamples(), greedy);
+  ASSERT_TRUE(greedy_report.ok()) << greedy_report.status().ToString();
+  const TableReport* papers = greedy_report->Find("papers");
+  ASSERT_NE(papers, nullptr);
+  EXPECT_EQ(papers->rung, 0);
+  ASSERT_TRUE(papers->cover_optimal.has_value());
+  EXPECT_FALSE(*papers->cover_optimal);
+  for (const TableSynthesisInfo& info : approx.info()) {
+    if (info.table == "papers") {
+      EXPECT_FALSE(info.program.formula.IsTrue());
+    }
+  }
+  json = greedy_report->ToJson();
+  EXPECT_NE(json.find("\"cover_optimal\":false"), std::string::npos) << json;
+}
+
+TEST(MigrationReport, CoverOptimalityIsOmittedWhenUnknown) {
+  MigrationReport report;
+  report.tables.emplace_back();
+  report.tables.back().table = "t";
+  EXPECT_EQ(report.ToJson().find("cover_optimal"), std::string::npos);
+}
+
 TEST(MigrationReport, OutcomeNames) {
   EXPECT_STREQ(TableOutcomeName(TableOutcome::kOk), "ok");
   EXPECT_STREQ(TableOutcomeName(TableOutcome::kDegraded), "degraded");
