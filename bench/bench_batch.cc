@@ -20,6 +20,7 @@
 #include "bench/bench_util.h"
 #include "common/csv.h"
 #include "common/fs.h"
+#include "common/json_builder.h"
 #include "common/thread_pool.h"
 #include "db/migrator.h"
 #include "obs/metrics.h"
@@ -174,22 +175,23 @@ int Run(int argc, char** argv) {
               static_cast<unsigned long long>(warm_candidates));
 
   std::string json =
-      bench::Json()
-          .Int("docs", docs)
-          .Int("persons_per_doc", persons)
-          .Int("threads", threads)
-          .Num("naive_seconds", naive_s)
-          .Num("batch_cold_seconds", cold_s)
-          .Num("batch_warm_seconds", warm_s)
-          .Num("naive_docs_per_second", docs / naive_s)
-          .Num("batch_cold_docs_per_second", docs / cold_s)
-          .Num("batch_warm_docs_per_second", docs / warm_s)
-          .Num("speedup_cold_vs_naive", naive_s / cold_s)
-          .Num("speedup_warm_vs_naive", naive_s / warm_s)
-          .Int("warm_candidates_enumerated",
-               static_cast<long long>(warm_candidates))
-          .Int("outputs_identical", identical ? 1 : 0)
-          .Build();
+      JsonBuilder()
+          .BeginObject()
+          .Key("docs").Int(docs)
+          .Key("persons_per_doc").Int(persons)
+          .Key("threads").Int(threads)
+          .Key("naive_seconds").Double(naive_s)
+          .Key("batch_cold_seconds").Double(cold_s)
+          .Key("batch_warm_seconds").Double(warm_s)
+          .Key("naive_docs_per_second").Double(docs / naive_s)
+          .Key("batch_cold_docs_per_second").Double(docs / cold_s)
+          .Key("batch_warm_docs_per_second").Double(docs / warm_s)
+          .Key("speedup_cold_vs_naive").Double(naive_s / cold_s)
+          .Key("speedup_warm_vs_naive").Double(naive_s / warm_s)
+          .Key("warm_candidates_enumerated").Int(warm_candidates)
+          .Key("outputs_identical").Int(identical ? 1 : 0)
+          .EndObject()
+          .Take();
   bench::WriteFileOrWarn(args.Str("json", "BENCH_batch.json"), json + "\n");
   return 0;
 }

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "bench/bench_util.h"
+#include "common/json_builder.h"
 #include "common/thread_pool.h"
 #include "core/executor.h"
 #include "dsl/ast.h"
@@ -126,9 +127,11 @@ double TimeExecute(const core::OptimizedExecutor& exec, const hdt::Hdt& tree,
   return best;
 }
 
+/// Times every program on `spec` at each target size and appends one object
+/// per program to the open `cases` array.
 void RunDataset(const workload::DatasetSpec& spec,
                 const std::vector<BenchProgram>& programs, long max_elements,
-                int reps, std::vector<std::string>* cases) {
+                int reps, JsonBuilder* cases) {
   // Calibrate scale -> elements with a small instance (sizes are linear
   // in scale), then hit each target element count.
   const int probe_scale = 500;
@@ -187,18 +190,18 @@ void RunDataset(const workload::DatasetSpec& spec,
       std::printf("%-22s %12.4f %12.4f %12.0f %8.2fx\n",
                   programs[i].name.c_str(), walk_s[i], idx_s, idx_rate,
                   speedup);
-      cases->push_back(bench::Json()
-                           .Str("dataset", spec.name)
-                           .Str("program", programs[i].name)
-                           .Int("elements", static_cast<long long>(elements))
-                           .Int("rows", static_cast<long long>(rows))
-                           .Num("walk_seconds", walk_s[i])
-                           .Num("indexed_seconds", idx_s)
-                           .Num("freeze_seconds", freeze_s)
-                           .Num("walk_rows_per_sec", walk_rate)
-                           .Num("indexed_rows_per_sec", idx_rate)
-                           .Num("speedup", speedup)
-                           .Build());
+      cases->BeginObject()
+          .Key("dataset").String(spec.name)
+          .Key("program").String(programs[i].name)
+          .Key("elements").Int(elements)
+          .Key("rows").Int(rows)
+          .Key("walk_seconds").Double(walk_s[i])
+          .Key("indexed_seconds").Double(idx_s)
+          .Key("freeze_seconds").Double(freeze_s)
+          .Key("walk_rows_per_sec").Double(walk_rate)
+          .Key("indexed_rows_per_sec").Double(idx_rate)
+          .Key("speedup").Double(speedup)
+          .EndObject();
     }
     std::printf("freeze: %.3f s (one-time, shared across all programs)\n\n",
                 freeze_s);
@@ -212,22 +215,20 @@ int Run(int argc, char** argv) {
   const long max_elements = args.Int("elements", 1'000'000);
   const int reps = static_cast<int>(args.Int("reps", 3));
 
-  std::vector<std::string> cases;
-  RunDataset(workload::Dblp(), DblpPrograms(), max_elements, reps, &cases);
+  JsonBuilder json;
+  json.BeginObject()
+      .Key("hardware_concurrency").Int(common::ThreadPool::HardwareThreads())
+      .Key("max_elements").Int(max_elements)
+      .Key("reps").Int(reps)
+      .Key("cases").BeginArray();
+  RunDataset(workload::Dblp(), DblpPrograms(), max_elements, reps, &json);
   RunDataset(workload::Mondial(), MondialPrograms(), max_elements, reps,
-             &cases);
-
-  std::string json =
-      bench::Json()
-          .Int("hardware_concurrency", common::ThreadPool::HardwareThreads())
-          .Int("max_elements", max_elements)
-          .Int("reps", reps)
-          .Raw("cases", bench::JsonArray(cases))
-          .Raw("metrics", obs::MetricsJson(obs::SnapshotMetrics(),
-                                           /*indent=*/false))
-          .Build();
+             &json);
+  json.EndArray()
+      .Key("metrics").Raw(obs::MetricsJson(obs::SnapshotMetrics()))
+      .EndObject();
   bench::WriteFileOrWarn(args.Str("json", "BENCH_exec_index.json"),
-                         json + "\n");
+                         json.Take() + "\n");
   return 0;
 }
 

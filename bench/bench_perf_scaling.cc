@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "bench/bench_util.h"
+#include "common/json_builder.h"
 #include "common/thread_pool.h"
 #include "core/executor.h"
 #include "core/synthesizer.h"
@@ -33,10 +34,10 @@
 namespace mitra {
 namespace {
 
-/// JSON case objects accumulated for BENCH_perf_scaling.json.
+/// JSON arrays of case objects accumulated for BENCH_perf_scaling.json.
 struct Report {
-  std::vector<std::string> synthesis_cases;
-  std::vector<std::string> execution_cases;
+  std::string synthesis_cases;
+  std::string execution_cases;
   double synth_t1_total = 0.0;
   double synth_tn_total = 0.0;
 };
@@ -50,6 +51,8 @@ void SynthesisScalingRun(int threads, Report* report) {
   std::printf("%-28s %10s %10s %9s\n", "task", "t1(s)", "tN(s)", "speedup");
   double total1 = 0.0, totaln = 0.0;
   int mismatches = 0;
+  JsonBuilder cases;
+  cases.BeginArray();
   for (const workload::CorpusTask& task : workload::FullCorpus()) {
     if (!task.expect_solvable) continue;
     bool is_json = task.format == workload::DocFormat::kJson;
@@ -80,14 +83,15 @@ void SynthesisScalingRun(int threads, Report* report) {
     double speedup = sn > 0 ? s1 / sn : 0.0;
     std::printf("%-28s %10.3f %10.3f %8.2fx\n", task.id.c_str(), s1, sn,
                 speedup);
-    report->synthesis_cases.push_back(bench::Json()
-                                          .Str("id", task.id)
-                                          .Int("threads", threads)
-                                          .Num("t1_seconds", s1)
-                                          .Num("tn_seconds", sn)
-                                          .Num("speedup", speedup)
-                                          .Build());
+    cases.BeginObject()
+        .Key("id").String(task.id)
+        .Key("threads").Int(threads)
+        .Key("t1_seconds").Double(s1)
+        .Key("tn_seconds").Double(sn)
+        .Key("speedup").Double(speedup)
+        .EndObject();
   }
+  report->synthesis_cases = cases.EndArray().Take();
   report->synth_t1_total = total1;
   report->synth_tn_total = totaln;
   std::printf("total: %.2f s at 1 thread, %.2f s at %d -> %.2fx%s\n\n",
@@ -163,6 +167,8 @@ void CorpusScalingRun(int factor, common::ThreadPool* pool, Report* report) {
   std::vector<double> times;
   std::vector<std::pair<std::string, double>> per_task;
   int failures = 0;
+  JsonBuilder cases;
+  cases.BeginArray();
   for (const workload::CorpusTask& task : workload::XmlCorpus()) {
     if (!task.expect_solvable) continue;
     auto tree = xml::ParseXml(task.document);
@@ -197,14 +203,14 @@ void CorpusScalingRun(int factor, common::ThreadPool* pool, Report* report) {
     }
     times.push_back(secs);
     per_task.emplace_back(task.id, secs);
-    report->execution_cases.push_back(
-        bench::Json()
-            .Str("id", task.id)
-            .Int("threads", pool != nullptr ? pool->size() : 1)
-            .Num("seconds", secs)
-            .Int("rows", static_cast<long long>(rows->size()))
-            .Build());
+    cases.BeginObject()
+        .Key("id").String(task.id)
+        .Key("threads").Int(pool != nullptr ? pool->size() : 1)
+        .Key("seconds").Double(secs)
+        .Key("rows").Int(rows->size())
+        .EndObject();
   }
+  report->execution_cases = cases.EndArray().Take();
   std::sort(per_task.begin(), per_task.end(),
             [](const auto& a, const auto& b) { return a.second > b.second; });
   std::printf("programs run: %zu (failures: %d)\n", times.size(), failures);
@@ -243,17 +249,19 @@ int Run(int argc, char** argv) {
                        ? report.synth_t1_total / report.synth_tn_total
                        : 0.0;
   std::string json =
-      bench::Json()
-          .Int("threads", threads)
-          .Int("hardware_concurrency", common::ThreadPool::HardwareThreads())
-          .Num("synthesis_total_t1_seconds", report.synth_t1_total)
-          .Num("synthesis_total_tn_seconds", report.synth_tn_total)
-          .Num("synthesis_speedup", speedup)
-          .Raw("synthesis", bench::JsonArray(report.synthesis_cases))
-          .Raw("execution", bench::JsonArray(report.execution_cases))
-          .Raw("metrics", obs::MetricsJson(obs::SnapshotMetrics(),
-                                           /*indent=*/false))
-          .Build();
+      JsonBuilder()
+          .BeginObject()
+          .Key("threads").Int(threads)
+          .Key("hardware_concurrency")
+          .Int(common::ThreadPool::HardwareThreads())
+          .Key("synthesis_total_t1_seconds").Double(report.synth_t1_total)
+          .Key("synthesis_total_tn_seconds").Double(report.synth_tn_total)
+          .Key("synthesis_speedup").Double(speedup)
+          .Key("synthesis").Raw(report.synthesis_cases)
+          .Key("execution").Raw(report.execution_cases)
+          .Key("metrics").Raw(obs::MetricsJson(obs::SnapshotMetrics()))
+          .EndObject()
+          .Take();
   bench::WriteFileOrWarn(args.Str("json", "BENCH_perf_scaling.json"),
                          json + "\n");
   return 0;

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "bench/bench_util.h"
+#include "common/json_builder.h"
 #include "core/synthesizer.h"
 #include "obs/metrics.h"
 #include "json/js_codegen.h"
@@ -191,16 +192,21 @@ int Run(int argc, char** argv) {
   // alongside the wall-clock ones.
   std::string json_path = args.Str("json", "");
   if (!json_path.empty()) {
-    bench::Json j;
-    j.Str("bench", "table1")
-        .Int("tasks_total", overall.total)
-        .Int("tasks_solved", overall.solved)
-        .Num("median_synth_seconds", bench::MedianOf(overall.synth_times))
-        .Num("avg_synth_seconds", bench::AvgOf(overall.synth_times))
-        .Int("threads", num_threads)
-        .Raw("metrics", obs::MetricsJson(obs::SnapshotMetrics(),
-                                         /*indent=*/false));
-    bench::WriteFileOrWarn(json_path, j.Build() + "\n");
+    std::string json =
+        JsonBuilder()
+            .BeginObject()
+            .Key("bench").String("table1")
+            .Key("tasks_total").Int(overall.total)
+            .Key("tasks_solved").Int(overall.solved)
+            .Key("median_synth_seconds")
+            .Double(bench::MedianOf(overall.synth_times))
+            .Key("avg_synth_seconds")
+            .Double(bench::AvgOf(overall.synth_times))
+            .Key("threads").Int(num_threads)
+            .Key("metrics").Raw(obs::MetricsJson(obs::SnapshotMetrics()))
+            .EndObject()
+            .Take();
+    bench::WriteFileOrWarn(json_path, json + "\n");
   }
   return 0;
 }

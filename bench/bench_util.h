@@ -3,14 +3,12 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <numeric>
 #include <string>
 #include <vector>
 
 #include "common/fs.h"
-#include "common/json_escape.h"
 #include "common/status.h"
 
 /// \file bench_util.h
@@ -66,44 +64,6 @@ class Args {
  private:
   std::vector<std::pair<std::string, std::string>> args_;
 };
-
-/// Minimal JSON object builder for machine-readable benchmark reports
-/// (no external dependency). Strings are escaped; `Raw` splices a
-/// pre-built JSON value (e.g. an array from JsonArray).
-class Json {
- public:
-  Json& Num(const std::string& key, double v) {
-    // NaN/Inf are not valid JSON; "null" keeps the report parseable.
-    if (!std::isfinite(v)) return Raw(key, "null");
-    char buf[40];
-    std::snprintf(buf, sizeof(buf), "%.6g", v);
-    return Raw(key, buf);
-  }
-  Json& Int(const std::string& key, long long v) {
-    return Raw(key, std::to_string(v));
-  }
-  Json& Str(const std::string& key, const std::string& v) {
-    return Raw(key, "\"" + EscapeJsonString(v) + "\"");
-  }
-  Json& Raw(const std::string& key, const std::string& raw) {
-    if (!body_.empty()) body_ += ",";
-    body_ += "\"" + EscapeJsonString(key) + "\":" + raw;
-    return *this;
-  }
-  std::string Build() const { return "{" + body_ + "}"; }
-
- private:
-  std::string body_;
-};
-
-inline std::string JsonArray(const std::vector<std::string>& items) {
-  std::string out = "[";
-  for (size_t i = 0; i < items.size(); ++i) {
-    if (i > 0) out += ",";
-    out += items[i];
-  }
-  return out + "]";
-}
 
 /// Writes `content` to `path` through the common::FileSystem seam (so
 /// fault-injecting filesystems apply); warns on stderr instead of failing

@@ -17,14 +17,6 @@ namespace mitra::core {
 
 namespace {
 
-/// Verifies ⟦P⟧T = R on every example (row-set equality; output tables
-/// are compared as sets of rows since the cross-product semantics can
-/// produce benign duplicates when distinct node tuples project to the
-/// same data row). On success, `excess` receives the total number of
-/// duplicate rows produced across examples — a semantic-tightness signal
-/// used as a ranking tie-breaker: a program that keeps extra witnesses on
-/// the training example (typically via a coincidental data-level
-/// equality) will mis-pair rows at scale.
 /// Number of edges between two nodes of the same tree.
 size_t TreeDistance(const hdt::Hdt& tree, hdt::NodeId a, hdt::NodeId b) {
   int da = tree.Depth(a), db = tree.Depth(b);
@@ -47,6 +39,15 @@ size_t TreeDistance(const hdt::Hdt& tree, hdt::NodeId a, hdt::NodeId b) {
   return dist;
 }
 
+/// Verifies ⟦P⟧T = R on every example (row-set equality; output tables
+/// are compared as sets of rows since the cross-product semantics can
+/// produce benign duplicates when distinct node tuples project to the
+/// same data row). On success, `excess` receives the total number of
+/// duplicate rows produced across examples — a semantic-tightness signal
+/// used as a ranking tie-breaker: a program that keeps extra witnesses on
+/// the training example (typically via a coincidental data-level
+/// equality) will mis-pair rows at scale.
+///
 /// `want_norm[i]` must be examples[i].table already Dedup()ed and
 /// SortRows()ed — the normalization is invariant across candidates, so
 /// the caller hoists it out of the Phase-2 loop instead of paying a table
@@ -442,15 +443,11 @@ namespace {
 /// Does program `p` reproduce example `e` (as a row set)?
 bool SatisfiesExample(const dsl::Program& p, const Example& e,
                       const dsl::EvalOptions& eval) {
-  auto got = dsl::EvalProgram(*e.tree, p, eval);
-  if (!got.ok()) return false;
-  hdt::Table a = std::move(got).value();
-  a.Dedup();
-  a.SortRows();
-  hdt::Table b = *e.table;
-  b.Dedup();
-  b.SortRows();
-  return a.rows() == b.rows();
+  std::vector<hdt::Table> want(1, *e.table);
+  want[0].Dedup();
+  want[0].SortRows();
+  size_t excess = 0, spread = 0;
+  return VerifyProgram({e}, want, p, eval, &excess, &spread);
 }
 
 /// Enumerates all size-`k` index subsets of [0, m), lexicographically.

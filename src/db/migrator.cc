@@ -9,12 +9,13 @@
 #include <optional>
 #include <set>
 
-#include "common/json_escape.h"
+#include "common/json_builder.h"
 #include "common/strings.h"
 #include "common/thread_pool.h"
 #include "core/column_learner.h"
 #include "core/node_extractor_enum.h"
 #include "dsl/eval.h"
+#include "obs/metrics.h"
 
 namespace mitra::db {
 
@@ -369,12 +370,6 @@ const TableReport* MigrationReport::Find(const std::string& table) const {
 
 namespace {
 
-std::string JsonDouble(double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.6f", v);
-  return buf;
-}
-
 /// The ladder's rung-1 option set: the same search, under per-phase caps
 /// shrunk far enough that a table which blew its full budget usually
 /// terminates (with a simpler program or a clean failure) instead of
@@ -402,53 +397,38 @@ core::SynthesisOptions ReducedSynthesisOptions(core::SynthesisOptions s) {
 }  // namespace
 
 std::string MigrationReport::ToJson() const {
-  std::string out = "{\"complete\":";
-  out += complete() ? "true" : "false";
-  out += ",\"num_failed\":" + std::to_string(num_failed());
-  out += ",\"tables\":[";
-  for (size_t i = 0; i < tables.size(); ++i) {
-    const TableReport& t = tables[i];
-    if (i > 0) out += ',';
-    out += "{\"table\":\"" + EscapeJsonString(t.table) + "\"";
-    out += ",\"outcome\":\"";
-    out += TableOutcomeName(t.outcome);
-    out += "\",\"status_code\":\"";
-    out += StatusCodeToString(t.status.code());
-    out += "\",\"status\":\"" + EscapeJsonString(t.status.message()) + "\"";
-    out += ",\"rung\":" + std::to_string(t.rung);
-    out += ",\"cache_hit\":";
-    out += t.cache_hit ? "true" : "false";
+  JsonBuilder json;
+  json.BeginObject()
+      .Key("complete").Bool(complete())
+      .Key("num_failed").Int(num_failed())
+      .Key("tables").BeginArray();
+  for (const TableReport& t : tables) {
+    json.BeginObject()
+        .Key("table").String(t.table)
+        .Key("outcome").String(TableOutcomeName(t.outcome))
+        .Key("status_code").String(StatusCodeToString(t.status.code()))
+        .Key("status").String(t.status.message())
+        .Key("rung").Int(t.rung)
+        .Key("cache_hit").Bool(t.cache_hit);
     if (t.cover_optimal.has_value()) {
-      out += ",\"cover_optimal\":";
-      out += *t.cover_optimal ? "true" : "false";
+      json.Key("cover_optimal").Bool(*t.cover_optimal);
     }
-    out += ",\"learn_seconds\":" + JsonDouble(t.learn_seconds);
-    out += ",\"execute_seconds\":" + JsonDouble(t.execute_seconds);
-    out += ",\"rows_emitted\":" + std::to_string(t.rows_emitted);
-    out += ",\"usage\":{\"states\":" + std::to_string(t.usage.states) +
-           ",\"rows\":" + std::to_string(t.usage.rows) +
-           ",\"bytes\":" + std::to_string(t.usage.bytes) +
-           ",\"checks\":" + std::to_string(t.usage.checks) + "}";
-    out += ",\"retry_trail\":[";
-    for (size_t r = 0; r < t.retry_trail.size(); ++r) {
-      if (r > 0) out += ',';
-      out += "\"" + EscapeJsonString(t.retry_trail[r]) + "\"";
-    }
-    out += "]}";
+    json.Key("learn_seconds").Double(t.learn_seconds)
+        .Key("execute_seconds").Double(t.execute_seconds)
+        .Key("rows_emitted").Int(t.rows_emitted)
+        .Key("usage").BeginObject()
+        .Key("states").Int(t.usage.states)
+        .Key("rows").Int(t.usage.rows)
+        .Key("bytes").Int(t.usage.bytes)
+        .Key("checks").Int(t.usage.checks)
+        .EndObject()
+        .Key("retry_trail").BeginArray();
+    for (const std::string& line : t.retry_trail) json.String(line);
+    json.EndArray().EndObject();
   }
-  out += "]";
-  if (!metrics.empty()) {
-    out += ",\"metrics\":{";
-    bool first = true;
-    for (const auto& [name, value] : metrics) {
-      if (!first) out += ',';
-      first = false;
-      out += "\"" + EscapeJsonString(name) + "\":" + std::to_string(value);
-    }
-    out += "}";
-  }
-  out += "}";
-  return out;
+  json.EndArray();
+  if (!metrics.empty()) json.Key("metrics").Raw(obs::MetricsJson(metrics));
+  return json.EndObject().Take();
 }
 
 Status Migrator::InstallProgram(const TableDef& t, const dsl::Program& program,

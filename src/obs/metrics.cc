@@ -1,9 +1,6 @@
 #include "obs/metrics.h"
 
-#include <cinttypes>
-#include <cstdio>
-
-#include "common/json_escape.h"
+#include "common/json_builder.h"
 
 namespace mitra::obs {
 
@@ -100,25 +97,11 @@ MetricsSnapshot SnapshotDelta(const MetricsSnapshot& before) {
   return delta;
 }
 
-std::string MetricsJson(const MetricsSnapshot& snapshot, bool indent) {
-  std::string out = "{";
-  const char* sep = indent ? "\n  " : "";
-  bool first = true;
-  for (const auto& [name, value] : snapshot) {
-    if (!first) out += ',';
-    first = false;
-    out += sep;
-    out += '"';
-    AppendJsonEscaped(&out, name);
-    out += "\": ";
-    char buf[24];
-    std::snprintf(buf, sizeof(buf), "%" PRIu64, value);
-    out += buf;
-  }
-  if (indent && !first) out += '\n';
-  out += '}';
-  if (indent) out += '\n';
-  return out;
+std::string MetricsJson(const MetricsSnapshot& snapshot) {
+  JsonBuilder json;
+  json.BeginObject();
+  for (const auto& [name, value] : snapshot) json.Key(name).Int(value);
+  return json.EndObject().Take();
 }
 
 std::string MetricsJson() { return MetricsJson(SnapshotMetrics()); }

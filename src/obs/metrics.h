@@ -190,9 +190,9 @@ void ResetAllMetrics();
 /// per-run metrics from the process-global registry.
 MetricsSnapshot SnapshotDelta(const MetricsSnapshot& before);
 
-/// Flat JSON object `{"name": value, ...}` with escaped keys, sorted by
-/// name. `indent` pretty-prints with 2-space indentation.
-std::string MetricsJson(const MetricsSnapshot& snapshot, bool indent = true);
+/// Flat compact JSON object `{"name":value,...}` with escaped keys, sorted
+/// by name.
+std::string MetricsJson(const MetricsSnapshot& snapshot);
 /// MetricsJson over the current global snapshot.
 std::string MetricsJson();
 

@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cinttypes>
-#include <cstdio>
 
-#include "common/json_escape.h"
+#include "common/json_builder.h"
 
 namespace mitra::obs {
 namespace {
@@ -80,38 +78,26 @@ std::uint64_t Tracer::dropped_events() const {
 }
 
 std::string Tracer::ChromeTraceJson() const {
-  std::vector<TraceEvent> events = Collect();
-  std::string out = "{\"traceEvents\":[";
-  bool first = true;
-  char buf[64];
-  for (const TraceEvent& e : events) {
-    if (!first) out += ',';
-    first = false;
-    out += "\n{\"name\":\"";
-    AppendJsonEscaped(&out, e.name);
-    out += "\",\"cat\":\"mitra\",\"ph\":\"X\",\"ts\":";
-    // Microseconds with ns precision, relative to the tracer epoch.
-    double ts_us =
-        static_cast<double>(e.start_ns - epoch_ns_) / 1000.0;
-    std::snprintf(buf, sizeof(buf), "%.3f", ts_us);
-    out += buf;
-    out += ",\"dur\":";
-    std::snprintf(buf, sizeof(buf), "%.3f",
-                  static_cast<double>(e.dur_ns) / 1000.0);
-    out += buf;
-    out += ",\"pid\":1,\"tid\":";
-    std::snprintf(buf, sizeof(buf), "%" PRIu32, e.tid);
-    out += buf;
-    out += ",\"args\":{\"depth\":";
-    std::snprintf(buf, sizeof(buf), "%" PRIu32, e.depth);
-    out += buf;
-    out += "}}";
+  JsonBuilder json;
+  json.BeginObject().Key("traceEvents").BeginArray();
+  for (const TraceEvent& e : Collect()) {
+    // Microseconds relative to the tracer epoch.
+    json.BeginObject()
+        .Key("name").String(e.name)
+        .Key("cat").String("mitra")
+        .Key("ph").String("X")
+        .Key("ts").Double(static_cast<double>(e.start_ns - epoch_ns_) / 1000.0)
+        .Key("dur").Double(static_cast<double>(e.dur_ns) / 1000.0)
+        .Key("pid").Int(1)
+        .Key("tid").Int(e.tid)
+        .Key("args").BeginObject().Key("depth").Int(e.depth).EndObject()
+        .EndObject();
   }
-  out += "\n],\"displayTimeUnit\":\"ms\",\"dropped_events\":";
-  std::snprintf(buf, sizeof(buf), "%" PRIu64, dropped_events());
-  out += buf;
-  out += "}\n";
-  return out;
+  return json.EndArray()
+      .Key("displayTimeUnit").String("ms")
+      .Key("dropped_events").Int(dropped_events())
+      .EndObject()
+      .Take();
 }
 
 void Tracer::Clear() {

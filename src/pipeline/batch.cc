@@ -13,7 +13,7 @@
 
 #include "common/csv.h"
 #include "common/fs.h"
-#include "common/json_escape.h"
+#include "common/json_builder.h"
 #include "common/retry.h"
 #include "common/strings.h"
 #include "common/subprocess.h"
@@ -114,12 +114,6 @@ class BatchHasher {
   std::uint64_t h2_ = 1469598103934665603ULL;
 };
 
-std::string JsonDouble(double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.6g", v);
-  return buf;
-}
-
 std::string Crc32Hex(std::uint32_t crc) {
   char buf[9];
   std::snprintf(buf, sizeof(buf), "%08x", crc);
@@ -193,49 +187,23 @@ std::string QuarantineReportPath(const std::string& qdir, size_t index) {
   return qdir + "/doc." + std::to_string(index) + ".json";
 }
 
-/// One worker death as JSON — the `hard_fault` block of the quarantine
-/// report (schema documented in README).
-std::string HardFaultJson(const HardFaultInfo& f, size_t worker_deaths) {
-  std::string out = "{\"kind\":\"" + EscapeJsonString(f.kind) + "\"";
-  out += ",\"signal\":" + std::to_string(f.signal);
+/// One worker death as the `hard_fault` block of the batch and
+/// quarantine reports (schema documented in README).
+void AppendHardFault(JsonBuilder* json, const HardFaultInfo& f,
+                     size_t worker_deaths) {
+  json->BeginObject().Key("kind").String(f.kind).Key("signal").Int(f.signal);
   if (f.signal != 0) {
-    out += ",\"signal_name\":\"" + common::SignalName(f.signal) + "\"";
+    json->Key("signal_name").String(common::SignalName(f.signal));
   }
-  out += ",\"exit_code\":" + std::to_string(f.exit_code);
-  out += ",\"last_phase\":\"" + EscapeJsonString(f.last_phase) + "\"";
-  out += ",\"seconds_since_heartbeat\":" +
-         JsonDouble(f.seconds_since_heartbeat);
-  out += ",\"max_rss_kb\":" + std::to_string(f.max_rss_kb);
-  out += ",\"user_seconds\":" + JsonDouble(f.user_seconds);
-  out += ",\"system_seconds\":" + JsonDouble(f.system_seconds);
-  out += ",\"retried\":";
-  out += f.retried ? "true" : "false";
-  out += ",\"worker_deaths\":" + std::to_string(worker_deaths);
-  out += "}";
-  return out;
-}
-
-/// The per-document quarantine report: the failing Status plus the full
-/// retry trail — and, for hard faults, the final worker death's
-/// diagnostics — so an operator can tell a poison document from a flaky
-/// environment without re-running the fleet.
-std::string QuarantineReportJson(const DocReport& dr) {
-  std::string out = "{\"path\":\"" + EscapeJsonString(dr.path) + "\"";
-  out += ",\"index\":" + std::to_string(dr.index);
-  out += ",\"status\":\"" + EscapeJsonString(dr.status.ToString()) + "\"";
-  out += ",\"attempts\":" + std::to_string(dr.attempts);
-  out += ",\"retry_trail\":[";
-  for (size_t i = 0; i < dr.retry_trail.size(); ++i) {
-    if (i > 0) out += ',';
-    out += "\"" + EscapeJsonString(dr.retry_trail[i]) + "\"";
-  }
-  out += "]";
-  if (!dr.hard_faults.empty()) {
-    out += ",\"hard_fault\":" +
-           HardFaultJson(dr.hard_faults.back(), dr.hard_faults.size());
-  }
-  out += "}";
-  return out;
+  json->Key("exit_code").Int(f.exit_code)
+      .Key("last_phase").String(f.last_phase)
+      .Key("seconds_since_heartbeat").Double(f.seconds_since_heartbeat)
+      .Key("max_rss_kb").Int(f.max_rss_kb)
+      .Key("user_seconds").Double(f.user_seconds)
+      .Key("system_seconds").Double(f.system_seconds)
+      .Key("retried").Bool(f.retried)
+      .Key("worker_deaths").Int(worker_deaths)
+      .EndObject();
 }
 
 }  // namespace
@@ -361,59 +329,60 @@ bool BatchReport::complete() const {
   return learn.complete() && docs_failed() == 0 && docs_quarantined() == 0;
 }
 
-std::string BatchReport::ToJson() const {
-  std::string out = "{\"complete\":";
-  out += complete() ? "true" : "false";
-  out += ",\"batch_key\":\"" + EscapeJsonString(batch_key) + "\"";
-  out += ",\"docs_done\":" + std::to_string(docs_done());
-  out += ",\"docs_resumed\":" + std::to_string(docs_resumed());
-  out += ",\"docs_failed\":" + std::to_string(docs_failed());
-  out += ",\"docs_quarantined\":" + std::to_string(docs_quarantined());
-  if (!journal_status.ok()) {
-    out += ",\"journal_write_failed\":\"" +
-           EscapeJsonString(journal_status.ToString()) + "\"";
+std::string QuarantineReportJson(const DocReport& dr) {
+  JsonBuilder json;
+  json.BeginObject()
+      .Key("path").String(dr.path)
+      .Key("index").Int(dr.index)
+      .Key("status").String(dr.status.ToString())
+      .Key("attempts").Int(dr.attempts)
+      .Key("retry_trail").BeginArray();
+  for (const std::string& line : dr.retry_trail) json.String(line);
+  json.EndArray();
+  if (!dr.hard_faults.empty()) {
+    json.Key("hard_fault");
+    AppendHardFault(&json, dr.hard_faults.back(), dr.hard_faults.size());
   }
-  out += ",\"learn\":" + learn.ToJson();
-  out += ",\"docs\":[";
-  for (size_t i = 0; i < docs.size(); ++i) {
-    const DocReport& d = docs[i];
-    if (i > 0) out += ',';
-    out += "{\"path\":\"" + EscapeJsonString(d.path) + "\"";
-    out += ",\"index\":" + std::to_string(d.index);
-    out += ",\"outcome\":\"";
-    out += DocOutcomeName(d.outcome);
-    out += "\",\"status\":\"" + EscapeJsonString(d.status.message()) + "\"";
-    out += ",\"seconds\":" + JsonDouble(d.seconds);
-    out += ",\"rows_emitted\":" + std::to_string(d.rows_emitted);
-    out += ",\"attempts\":" + std::to_string(d.attempts);
-    out += ",\"peak_rss_kb\":" + std::to_string(d.peak_rss_kb);
+  return json.EndObject().Take();
+}
+
+std::string BatchReport::ToJson() const {
+  JsonBuilder json;
+  json.BeginObject()
+      .Key("complete").Bool(complete())
+      .Key("batch_key").String(batch_key)
+      .Key("docs_done").Int(docs_done())
+      .Key("docs_resumed").Int(docs_resumed())
+      .Key("docs_failed").Int(docs_failed())
+      .Key("docs_quarantined").Int(docs_quarantined());
+  if (!journal_status.ok()) {
+    json.Key("journal_write_failed").String(journal_status.ToString());
+  }
+  json.Key("learn").Raw(learn.ToJson()).Key("docs").BeginArray();
+  for (const DocReport& d : docs) {
+    json.BeginObject()
+        .Key("path").String(d.path)
+        .Key("index").Int(d.index)
+        .Key("outcome").String(DocOutcomeName(d.outcome))
+        .Key("status").String(d.status.message())
+        .Key("seconds").Double(d.seconds)
+        .Key("rows_emitted").Int(d.rows_emitted)
+        .Key("attempts").Int(d.attempts)
+        .Key("peak_rss_kb").Int(d.peak_rss_kb);
     if (!d.hard_faults.empty()) {
-      out += ",\"hard_fault\":" +
-             HardFaultJson(d.hard_faults.back(), d.hard_faults.size());
+      json.Key("hard_fault");
+      AppendHardFault(&json, d.hard_faults.back(), d.hard_faults.size());
     }
     if (!d.retry_trail.empty()) {
-      out += ",\"retry_trail\":[";
-      for (size_t t = 0; t < d.retry_trail.size(); ++t) {
-        if (t > 0) out += ',';
-        out += "\"" + EscapeJsonString(d.retry_trail[t]) + "\"";
-      }
-      out += "]";
+      json.Key("retry_trail").BeginArray();
+      for (const std::string& line : d.retry_trail) json.String(line);
+      json.EndArray();
     }
-    out += "}";
+    json.EndObject();
   }
-  out += "]";
-  if (!metrics.empty()) {
-    out += ",\"metrics\":{";
-    bool first = true;
-    for (const auto& [name, value] : metrics) {
-      if (!first) out += ',';
-      first = false;
-      out += "\"" + EscapeJsonString(name) + "\":" + std::to_string(value);
-    }
-    out += "}";
-  }
-  out += "}";
-  return out;
+  json.EndArray();
+  if (!metrics.empty()) json.Key("metrics").Raw(obs::MetricsJson(metrics));
+  return json.EndObject().Take();
 }
 
 Result<BatchReport> RunBatch(const BatchManifest& manifest,

@@ -178,6 +178,12 @@ struct BatchReport {
   std::string ToJson() const;
 };
 
+/// The per-document quarantine report (`<quarantine_dir>/doc.<index>.json`):
+/// the failing Status plus the full retry trail — and, for hard faults, the
+/// final worker death's diagnostics — so an operator can tell a poison
+/// document from a flaky environment without re-running the fleet.
+std::string QuarantineReportJson(const DocReport& dr);
+
 /// The key identifying one batch for journal validation: a content hash
 /// over the example document, the schema (table names + example CSVs),
 /// the fleet paths in order, and dsl::kDslVersion. A changed manifest or

@@ -2,11 +2,15 @@
 #include <unistd.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstdlib>
+#include <limits>
 #include <filesystem>
 #include <string>
 #include <vector>
 
 #include "common/fs.h"
+#include "common/json_builder.h"
 #include "common/retry.h"
 #include "common/status.h"
 #include "common/strings.h"
@@ -477,6 +481,74 @@ TEST(FrameBuffer, ReassemblesSplitFramesAndRejectsOversize) {
   buf.Reset();
   buf.Append(wire.data(), wire.size());
   EXPECT_TRUE(buf.Next().ok());  // Reset un-poisons for a fresh stream
+}
+
+TEST(JsonBuilder, NestsContainersAndPlacesCommas) {
+  JsonBuilder json;
+  json.BeginObject()
+      .Key("a").Int(1)
+      .Key("empty_object").BeginObject().EndObject()
+      .Key("empty_array").BeginArray().EndArray()
+      .Key("list").BeginArray()
+      .Int(2)
+      .BeginObject().Key("x").Bool(true).Key("y").Bool(false).EndObject()
+      .BeginArray().EndArray()
+      .String("s")
+      .Raw("{\"spliced\":[1,2]}")
+      .EndArray()
+      .Key("last").String("")
+      .EndObject();
+  EXPECT_EQ(json.Take(),
+            "{\"a\":1,\"empty_object\":{},\"empty_array\":[],"
+            "\"list\":[2,{\"x\":true,\"y\":false},[],\"s\","
+            "{\"spliced\":[1,2]}],"
+            "\"last\":\"\"}");
+  EXPECT_EQ(JsonBuilder().BeginObject().EndObject().Take(), "{}");
+  EXPECT_EQ(JsonBuilder().BeginArray().EndArray().Take(), "[]");
+}
+
+TEST(JsonBuilder, EscapesKeysAndStrings) {
+  // Quote, backslash, a bare control byte, newline, and UTF-8 (é, €),
+  // which passes through unescaped.
+  const std::string hostile = "q\"b\\c\x01n\n\xc3\xa9\xe2\x82\xac";
+  const std::string escaped = "q\\\"b\\\\c\\u0001n\\n\xc3\xa9\xe2\x82\xac";
+  EXPECT_EQ(JsonBuilder().BeginObject().Key(hostile).String(hostile)
+                .EndObject().Take(),
+            "{\"" + escaped + "\":\"" + escaped + "\"}");
+}
+
+TEST(JsonBuilder, IntegersAreExactAtTheLimits) {
+  EXPECT_EQ(JsonBuilder()
+                .BeginArray()
+                .Int(std::numeric_limits<std::int64_t>::min())
+                .Int(std::numeric_limits<std::uint64_t>::max())
+                .Int(0)
+                .Int(-1)
+                .Int(std::size_t{42})
+                .EndArray()
+                .Take(),
+            "[-9223372036854775808,18446744073709551615,0,-1,42]");
+}
+
+TEST(JsonBuilder, DoublesAreShortestRoundTripAndNonFiniteIsNull) {
+  EXPECT_EQ(JsonBuilder()
+                .BeginArray()
+                .Double(0.1)
+                .Double(1.5)
+                .Double(-2.0)
+                .Double(0.0)
+                .Double(1234.567)
+                .Double(std::numeric_limits<double>::quiet_NaN())
+                .Double(std::numeric_limits<double>::infinity())
+                .Double(-std::numeric_limits<double>::infinity())
+                .EndArray()
+                .Take(),
+            "[0.1,1.5,-2,0,1234.567,null,null,null]");
+  for (double v : {1.0 / 3.0, 6.02214076e23, 5e-324, 0.000373099,
+                   std::numeric_limits<double>::max()}) {
+    const std::string text = JsonBuilder().Double(v).Take();
+    EXPECT_EQ(std::strtod(text.c_str(), nullptr), v) << text;
+  }
 }
 
 }  // namespace

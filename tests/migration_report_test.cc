@@ -202,6 +202,36 @@ TEST(MigrationReport, ToJsonCarriesTheReport) {
   EXPECT_NE(json.find("\"usage\""), std::string::npos) << json;
 }
 
+TEST(MigrationReport, ToJsonParsesBackWithHostileStrings) {
+  // Quote, backslash, a bare control byte, newline and UTF-8.
+  const std::string hostile = "t\"b\\c\x01n\n\xc3\xa9";
+  MigrationReport report;
+  TableReport& t = report.tables.emplace_back();
+  t.table = hostile;
+  t.outcome = TableOutcome::kFailed;
+  t.status = Status::SynthesisFailure("no program for " + hostile);
+  t.cover_optimal = false;
+  t.learn_seconds = 0.125;
+  t.rows_emitted = 7;
+  t.retry_trail = {"rung 0: " + hostile, "rung 1: x"};
+  report.metrics = {{"synth/phase2/\"odd\"", 3}};
+
+  hdt::Hdt tree = test::ParseJsonOrDie(report.ToJson());
+  EXPECT_EQ(test::JsonValues(tree, "table"),
+            std::vector<std::string>{hostile});
+  EXPECT_EQ(test::JsonValues(tree, "status"),
+            std::vector<std::string>{"no program for " + hostile});
+  EXPECT_EQ(test::JsonValues(tree, "retry_trail"), t.retry_trail);
+  EXPECT_EQ(test::JsonValues(tree, "cover_optimal"),
+            std::vector<std::string>{"false"});
+  EXPECT_EQ(test::JsonValues(tree, "learn_seconds"),
+            std::vector<std::string>{"0.125"});
+  EXPECT_EQ(test::JsonValues(tree, "rows_emitted"),
+            std::vector<std::string>{"7"});
+  EXPECT_EQ(test::JsonValues(tree, "synth/phase2/\"odd\""),
+            std::vector<std::string>{"3"});
+}
+
 TEST(MigrationReport, CoverOptimalityIsReportedPerTable) {
   // Thm 2 per table: the default exact cover proves every predicate
   // minimal; the greedy cover never claims to.

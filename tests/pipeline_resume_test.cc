@@ -9,6 +9,7 @@
 #include "pipeline/batch.h"
 #include "pipeline/program_cache.h"
 #include "testing/fault_injection.h"
+#include "test_util.h"
 
 /// pipeline_resume_test (ISSUE 8): crash a batch mid-run with injected
 /// I/O faults, restart it from the journal, and prove the final tables
@@ -317,6 +318,72 @@ TEST(PipelineResume, V1JournalIsAcceptedAndUpgradedToV2) {
   }
 
   common::SetFileSystemForTest(nullptr);
+}
+
+TEST(BatchReportJson, BatchAndQuarantineReportsParseBack) {
+  // Quote, backslash, a bare control byte, newline and UTF-8.
+  const std::string hostile = "d\"q\\b\x01n\n\xc3\xa9.xml";
+  DocReport dr;
+  dr.path = hostile;
+  dr.index = 7;
+  dr.outcome = DocOutcome::kQuarantined;
+  dr.status = Status::Internal("hard fault in " + hostile);
+  dr.seconds = 0.5;
+  dr.attempts = 2;
+  dr.retry_trail = {"attempt 1: " + hostile, "attempt 2: \"again\""};
+  HardFaultInfo fault;
+  fault.kind = "signal";
+  fault.signal = 6;
+  fault.last_phase = hostile;
+  fault.seconds_since_heartbeat = 0.25;
+  fault.max_rss_kb = 4096;
+  dr.hard_faults = {fault, fault};
+
+  BatchReport report;
+  report.batch_key = "key";
+  report.docs = {dr};
+  db::TableReport& people = report.learn.tables.emplace_back();
+  people.table = "people";
+  people.outcome = db::TableOutcome::kOk;
+  report.metrics = {{"pipeline/quarantine/docs", 1}};
+
+  hdt::Hdt batch = test::ParseJsonOrDie(report.ToJson());
+  EXPECT_EQ(test::JsonValues(batch, "path"), std::vector<std::string>{hostile});
+  EXPECT_EQ(test::JsonValues(batch, "table"),
+            std::vector<std::string>{"people"});
+  // Per-document status is the message; the quarantine report carries
+  // the full Status::ToString.
+  EXPECT_EQ(test::JsonValues(batch, "status"),
+            (std::vector<std::string>{"", "hard fault in " + hostile}));
+  EXPECT_EQ(test::JsonValues(batch, "outcome"),
+            (std::vector<std::string>{"ok", "quarantined"}));
+  EXPECT_EQ(test::JsonValues(batch, "retry_trail"), dr.retry_trail);
+  EXPECT_EQ(test::JsonValues(batch, "pipeline/quarantine/docs"),
+            std::vector<std::string>{"1"});
+
+  hdt::Hdt quarantine = test::ParseJsonOrDie(QuarantineReportJson(dr));
+  EXPECT_EQ(test::JsonValues(quarantine, "path"),
+            std::vector<std::string>{hostile});
+  EXPECT_EQ(test::JsonValues(quarantine, "index"),
+            std::vector<std::string>{"7"});
+  EXPECT_EQ(test::JsonValues(quarantine, "status"),
+            std::vector<std::string>{dr.status.ToString()});
+  EXPECT_EQ(test::JsonValues(quarantine, "attempts"),
+            std::vector<std::string>{"2"});
+  EXPECT_EQ(test::JsonValues(quarantine, "retry_trail"), dr.retry_trail);
+
+  for (const hdt::Hdt* tree : {&batch, &quarantine}) {
+    EXPECT_EQ(test::JsonValues(*tree, "last_phase"),
+              std::vector<std::string>{hostile});
+    EXPECT_EQ(test::JsonValues(*tree, "signal_name"),
+              std::vector<std::string>{"SIGABRT"});
+    EXPECT_EQ(test::JsonValues(*tree, "seconds_since_heartbeat"),
+              std::vector<std::string>{"0.25"});
+    EXPECT_EQ(test::JsonValues(*tree, "max_rss_kb"),
+              std::vector<std::string>{"4096"});
+    EXPECT_EQ(test::JsonValues(*tree, "worker_deaths"),
+              std::vector<std::string>{"2"});
+  }
 }
 
 }  // namespace

@@ -27,6 +27,20 @@ inline hdt::Hdt ParseJsonOrDie(std::string_view json) {
   return std::move(r).value();
 }
 
+/// Data of every node tagged `tag` in a parsed JSON tree, in node order —
+/// the values of that key (or of that array's elements) in a report.
+inline std::vector<std::string> JsonValues(const hdt::Hdt& tree,
+                                           std::string_view tag) {
+  std::vector<std::string> out;
+  for (hdt::NodeId id = 0; id < static_cast<hdt::NodeId>(tree.NumElements());
+       ++id) {
+    if (tree.NodeTagName(id) == tag && tree.HasData(id)) {
+      out.emplace_back(tree.Data(id));
+    }
+  }
+  return out;
+}
+
 inline hdt::Table MakeTable(std::vector<hdt::Row> rows) {
   auto r = hdt::Table::FromRows(std::move(rows));
   EXPECT_TRUE(r.ok()) << r.status().ToString();

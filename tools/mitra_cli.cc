@@ -169,6 +169,17 @@ int ThreadsFlag(const std::map<std::string, std::string>& flags) {
   return std::atoi(it->second.c_str());
 }
 
+/// Starts the worker pool a ThreadsFlag value asks for in `pool` and
+/// returns it; nullptr (run inline) when that resolves to one thread.
+common::ThreadPool* StartPool(int threads_flag,
+                              std::optional<common::ThreadPool>* pool) {
+  const unsigned threads =
+      threads_flag == 0 ? common::ThreadPool::HardwareThreads()
+                        : static_cast<unsigned>(std::max(1, threads_flag));
+  if (threads <= 1) return nullptr;
+  return &pool->emplace(threads);
+}
+
 /// Budget flags → ResourceLimits (absent flags leave the axis unlimited).
 common::ResourceLimits LimitsFlags(
     const std::map<std::string, std::string>& flags) {
@@ -263,17 +274,9 @@ int Apply(const std::map<std::string, std::string>& flags) {
   // The apply path is the learn-small/execute-huge hot side: the frozen
   // index (compact) turns descendant scans into posting-list slices.
   tree->FreezeIndex();
-  const int threads_flag = ThreadsFlag(flags);
-  const unsigned threads =
-      threads_flag == 0
-          ? common::ThreadPool::HardwareThreads()
-          : static_cast<unsigned>(std::max(1, threads_flag));
   std::optional<common::ThreadPool> pool;
   core::ExecuteOptions eopts;
-  if (threads > 1) {
-    pool.emplace(threads);
-    eopts.pool = &*pool;
-  }
+  eopts.pool = StartPool(ThreadsFlag(flags), &pool);
   common::Governor governor(LimitsFlags(flags));
   eopts.governor = &governor;
   auto out = core::ExecuteOptimized(*tree, *program, eopts);
@@ -349,17 +352,10 @@ int Migrate(const std::map<std::string, std::string>& flags) {
 
   db::MigratorOptions mopts;
   mopts.table_limits = LimitsFlags(flags);
-  mopts.synthesis.num_threads = ThreadsFlag(flags);
   const int threads_flag = ThreadsFlag(flags);
-  const unsigned threads =
-      threads_flag == 0
-          ? common::ThreadPool::HardwareThreads()
-          : static_cast<unsigned>(std::max(1, threads_flag));
+  mopts.synthesis.num_threads = threads_flag;
   std::optional<common::ThreadPool> pool;
-  if (threads > 1) {
-    pool.emplace(threads);
-    mopts.execute.pool = &*pool;
-  }
+  mopts.execute.pool = StartPool(threads_flag, &pool);
 
   db::Migrator migrator(schema);
   obs::MetricsSnapshot metrics_before = obs::SnapshotMetrics();
@@ -496,16 +492,8 @@ int Batch(const std::map<std::string, std::string>& flags) {
     bopts.cache = &*cache;
   }
 
-  const int threads_flag = ThreadsFlag(flags);
-  const unsigned threads =
-      threads_flag == 0
-          ? common::ThreadPool::HardwareThreads()
-          : static_cast<unsigned>(std::max(1, threads_flag));
   std::optional<common::ThreadPool> pool;
-  if (threads > 1) {
-    pool.emplace(threads);
-    bopts.pool = &*pool;
-  }
+  bopts.pool = StartPool(ThreadsFlag(flags), &pool);
 
   obs::MetricsSnapshot metrics_before = obs::SnapshotMetrics();
   auto report = pipeline::RunBatch(*manifest, bopts);
@@ -583,7 +571,7 @@ int Run(const char* command,
   if (trace_path != nullptr) {
     obs::Tracer::Global().SetEnabled(false);
     Status s = common::GetFileSystem()->WriteFileAtomic(
-        *trace_path, obs::Tracer::Global().ChromeTraceJson());
+        *trace_path, obs::Tracer::Global().ChromeTraceJson() + "\n");
     if (!s.ok()) {
       std::fprintf(stderr, "error writing trace: %s\n", s.ToString().c_str());
       if (code == kExitOk) code = kExitError;
@@ -592,8 +580,8 @@ int Run(const char* command,
   if (metrics_path != nullptr) {
     // The full snapshot (not a delta): the process runs one command, and
     // zero-valued counters are meaningful ("the fast path never fired").
-    Status s = common::GetFileSystem()->WriteFileAtomic(*metrics_path,
-                                                        obs::MetricsJson());
+    Status s = common::GetFileSystem()->WriteFileAtomic(
+        *metrics_path, obs::MetricsJson() + "\n");
     if (!s.ok()) {
       std::fprintf(stderr, "error writing metrics: %s\n",
                    s.ToString().c_str());
