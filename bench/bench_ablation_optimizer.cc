@@ -6,7 +6,8 @@
 /// on "inefficiencies in the generated code"). This benchmark runs
 /// join-heavy synthesized programs both ways at growing document sizes:
 ///
-///   naive     — Fig. 7 reference evaluator (cross product, then filter)
+///   naive     — Fig. 7 reference evaluator, dsl/reference_eval.h (cross
+///               product, then filter)
 ///   optimized — hash-join executor (memoized columns, early predicates)
 ///
 /// The shape to observe: naive grows with the *product* of column sizes
@@ -18,7 +19,7 @@
 #include "bench/bench_util.h"
 #include "core/executor.h"
 #include "core/synthesizer.h"
-#include "dsl/eval.h"
+#include "dsl/reference_eval.h"
 #include "workload/corpus.h"
 #include "workload/docgen.h"
 #include "xml/xml_parser.h"
@@ -76,10 +77,10 @@ int Run(int argc, char** argv) {
       hdt::Hdt big = workload::ReplicateDocument(
           *tree, factor, /*mutate_strings=*/true, &preserve);
 
-      dsl::EvalOptions naive_opts;
+      dsl::ReferenceEvalOptions naive_opts;
       naive_opts.max_intermediate_tuples = 50'000'000;
       bench::Timer naive_timer;
-      auto naive = dsl::EvalProgram(big, result->program, naive_opts);
+      auto naive = dsl::ReferenceEvalProgram(big, result->program, naive_opts);
       double naive_s = naive_timer.Seconds();
 
       core::OptimizedExecutor exec(result->program);

@@ -14,6 +14,7 @@
 #include "core/set_cover.h"
 #include "core/synthesizer.h"
 #include "dsl/eval.h"
+#include "dsl/reference_eval.h"
 #include "json/json_parser.h"
 #include "workload/datasets.h"
 #include "workload/docgen.h"
@@ -129,8 +130,14 @@ void BM_PredicateUniverse(benchmark::State& state) {
       {{{dsl::ColOp::kDescendants, "name", 0}}},
       {{{dsl::ColOp::kDescendants, "name", 0}}},
       {{{dsl::ColOp::kDescendants, "years", 0}}}};
+  std::vector<std::vector<hdt::NodeId>> columns;
+  columns.reserve(psi.size());  // keeps the pointers in `cols` valid
+  std::vector<const std::vector<hdt::NodeId>*> cols;
+  for (const dsl::ColumnExtractor& pi : psi) {
+    cols.push_back(&columns.emplace_back(dsl::EvalColumn(*tree, pi)));
+  }
   std::vector<std::vector<dsl::NodeTuple>> rows_per_example{
-      *dsl::EvalCrossProduct(*tree, psi)};
+      *dsl::CrossProduct(cols)};
   for (auto _ : state) {
     core::ExtractorMemoCache memo(ex, {});
     auto universe =
@@ -174,7 +181,7 @@ void BM_NaiveEval(benchmark::State& state) {
   auto tree = xml::ParseXml(SocialDoc(static_cast<int>(state.range(0))));
   dsl::Program p = MotivatingProgram();
   for (auto _ : state) {
-    auto out = dsl::EvalProgram(*tree, p);
+    auto out = dsl::ReferenceEvalProgram(*tree, p);
     benchmark::DoNotOptimize(out);
   }
 }

@@ -31,7 +31,10 @@
 ///    the equality; the hash index additionally works when the equated
 ///    extractors do not share a syntactic prefix).
 ///
-/// Equivalence with the naive Fig.-7 evaluator is property-tested.
+/// This is the library's only program evaluator: synthesis verifies every
+/// candidate with it (VerifyOnExample), the migrator derives example
+/// tuples and migrates documents with it. Equivalence with the naive
+/// Fig.-7 oracle (dsl/reference_eval.h) is property-tested.
 
 namespace mitra::common {
 class ThreadPool;

@@ -10,7 +10,6 @@
 
 #include "common/thread_pool.h"
 #include "core/extractor_memo.h"
-#include "dsl/eval.h"
 #include "obs/obs.h"
 
 namespace mitra::core {
@@ -39,45 +38,22 @@ size_t TreeDistance(const hdt::Hdt& tree, hdt::NodeId a, hdt::NodeId b) {
   return dist;
 }
 
-/// Verifies ⟦P⟧T = R on every example (row-set equality; output tables
-/// are compared as sets of rows since the cross-product semantics can
-/// produce benign duplicates when distinct node tuples project to the
-/// same data row). On success, `excess` receives the total number of
-/// duplicate rows produced across examples — a semantic-tightness signal
-/// used as a ranking tie-breaker: a program that keeps extra witnesses on
-/// the training example (typically via a coincidental data-level
-/// equality) will mis-pair rows at scale.
-///
-/// `want_norm[i]` must be examples[i].table already Dedup()ed and
-/// SortRows()ed — the normalization is invariant across candidates, so
-/// the caller hoists it out of the Phase-2 loop instead of paying a table
-/// copy + sort per combo.
+/// VerifyOnExample on every example, summing `excess` and `spread`. The
+/// per-example column caches are the memo's, so verification reuses
+/// Phase 2's extractions. `want_norm[i]` is examples[i].table normalized
+/// once by the caller (invariant across candidates).
 bool VerifyProgram(const Examples& examples,
                    const std::vector<hdt::Table>& want_norm,
                    const dsl::Program& p, const dsl::EvalOptions& eval,
-                   size_t* excess, size_t* spread) {
+                   ExtractorMemoCache* memo, size_t* excess, size_t* spread) {
   *excess = 0;
   *spread = 0;
   for (size_t ei = 0; ei < examples.size(); ++ei) {
-    const Example& e = examples[ei];
-    auto tuples = dsl::EvalProgramNodeTuples(*e.tree, p, eval);
-    if (!tuples.ok()) return false;
-    hdt::Table got(p.columns.size());
-    for (const dsl::NodeTuple& t : *tuples) {
-      if (!got.AppendRow(dsl::ProjectData(*e.tree, t)).ok()) return false;
-      // Structural cohesion: rows are relations between tree nodes (§1),
-      // and among otherwise-equal programs the one whose witness nodes
-      // sit close together in the tree is the intended relation — not a
-      // coincidental value match pulled from a distant subtree.
-      for (size_t i = 1; i < t.size(); ++i) {
-        *spread += TreeDistance(*e.tree, t[0], t[i]);
-      }
-    }
-    size_t raw_rows = got.NumRows();
-    got.Dedup();
-    got.SortRows();
-    *excess += raw_rows - got.NumRows();
-    if (got.rows() != want_norm[ei].rows()) return false;
+    auto verified = VerifyOnExample(*examples[ei].tree, want_norm[ei], p,
+                                    eval, &memo->Columns(ei));
+    if (!verified.ok()) return false;
+    *excess += verified->excess;
+    *spread += verified->spread;
   }
   return true;
 }
@@ -100,6 +76,35 @@ struct RankedCost {
 };
 
 }  // namespace
+
+Result<VerifiedExample> VerifyOnExample(const hdt::Hdt& tree,
+                                        const hdt::Table& want_norm,
+                                        const dsl::Program& p,
+                                        const dsl::EvalOptions& eval,
+                                        ColumnCache* columns) {
+  ExecuteOptions exec;
+  exec.max_output_rows = eval.max_intermediate_tuples;
+  exec.governor = eval.governor;
+  exec.column_cache = columns;
+  VerifiedExample out;
+  MITRA_ASSIGN_OR_RETURN(out.tuples,
+                         OptimizedExecutor(p).ExecuteNodes(tree, exec));
+  hdt::Table got(p.columns.size());
+  for (const dsl::NodeTuple& t : out.tuples) {
+    MITRA_RETURN_IF_ERROR(got.AppendRow(dsl::ProjectData(tree, t)));
+    for (size_t i = 1; i < t.size(); ++i) {
+      out.spread += TreeDistance(tree, t[0], t[i]);
+    }
+  }
+  got.Dedup();
+  got.SortRows();
+  out.excess = out.tuples.size() - got.NumRows();
+  if (got.rows() != want_norm.rows()) {
+    return Status::SynthesisFailure(
+        "program is inconsistent with the example");
+  }
+  return out;
+}
 
 Result<SynthesisResult> LearnTransformation(const Examples& examples,
                                             const SynthesisOptions& opts) {
@@ -330,8 +335,8 @@ Result<SynthesisResult> LearnTransformation(const Examples& examples,
       p.columns = std::move(psi);
       p.atoms = learned->atoms;
       p.formula = learned->formula;
-      if (!VerifyProgram(examples, want_norm, p, popts.eval, &out.excess,
-                         &out.spread)) {
+      if (!VerifyProgram(examples, want_norm, p, popts.eval, &memo,
+                         &out.excess, &out.spread)) {
         return Status::OK();
       }
       out.verified = true;
@@ -443,11 +448,10 @@ namespace {
 /// Does program `p` reproduce example `e` (as a row set)?
 bool SatisfiesExample(const dsl::Program& p, const Example& e,
                       const dsl::EvalOptions& eval) {
-  std::vector<hdt::Table> want(1, *e.table);
-  want[0].Dedup();
-  want[0].SortRows();
-  size_t excess = 0, spread = 0;
-  return VerifyProgram({e}, want, p, eval, &excess, &spread);
+  hdt::Table want = *e.table;
+  want.Dedup();
+  want.SortRows();
+  return VerifyOnExample(*e.tree, want, p, eval).ok();
 }
 
 /// Enumerates all size-`k` index subsets of [0, m), lexicographically.

@@ -10,6 +10,7 @@
 #include "common/status.h"
 #include "core/column_learner.h"
 #include "core/example.h"
+#include "core/executor.h"
 #include "core/predicate_learner.h"
 #include "dsl/ast.h"
 
@@ -23,7 +24,8 @@
 ///      Occam cost θ (fewest atoms, then fewest extractor constructs).
 ///
 /// Every returned program is verified against all examples before being
-/// accepted (Theorem 3's soundness, checked end-to-end).
+/// accepted (Theorem 3's soundness, checked end-to-end by VerifyOnExample
+/// with the same optimized executor that migrations run).
 
 namespace mitra::core {
 
@@ -96,6 +98,39 @@ struct SynthesisResult {
   dsl::Program program;
   SynthesisStats stats;
 };
+
+/// What VerifyOnExample learns about a program that reproduces an example.
+struct VerifiedExample {
+  /// The surviving node tuples (the executor's order), one per raw row.
+  std::vector<dsl::NodeTuple> tuples;
+  /// Raw rows minus distinct rows: duplicates appear when distinct node
+  /// tuples project to the same data row. A program that keeps extra
+  /// witnesses on the training example (typically via a coincidental
+  /// data-level equality) will mis-pair rows at scale, so the ranking
+  /// prefers the smaller value.
+  size_t excess = 0;
+  /// Sum over tuples of the tree distance from t[0] to every other
+  /// component: rows are relations between tree nodes (§1), and among
+  /// otherwise-equal programs the one whose witness nodes sit close
+  /// together is the intended relation, not a coincidental value match
+  /// pulled from a distant subtree.
+  size_t spread = 0;
+};
+
+/// Checks ⟦P⟧T = R on one example as row sets (Theorem 3's soundness):
+/// runs `p` on `tree` with the optimized executor — the engine migrations
+/// use, so the verified program is the one that runs — and compares its
+/// distinct rows with `want_norm`, which must be the example table already
+/// Dedup()ed and SortRows()ed. `eval.max_intermediate_tuples` caps the
+/// emitted rows and `eval.governor` is charged and polled; `columns`, when
+/// given, must be bound to `tree` and serves the column extractions.
+/// kSynthesisFailure when the rows differ; the executor's error (a cap or
+/// a tripped governor) when it fails.
+Result<VerifiedExample> VerifyOnExample(const hdt::Hdt& tree,
+                                        const hdt::Table& want_norm,
+                                        const dsl::Program& p,
+                                        const dsl::EvalOptions& eval,
+                                        ColumnCache* columns = nullptr);
 
 /// Synthesizes the simplest DSL program consistent with all examples.
 /// Fails with kSynthesisFailure if no explored program is consistent and

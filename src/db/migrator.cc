@@ -73,6 +73,18 @@ Status StrictStatus(const MigrationReport& report) {
   return Status::OK();
 }
 
+/// A learned program's node tuples on its example, from the executor that
+/// migrates, under the learn-time row cap and the attempt's governor.
+Result<std::vector<dsl::NodeTuple>> ExampleTuples(const hdt::Hdt& tree,
+                                                  const dsl::Program& p,
+                                                  const dsl::EvalOptions& eval,
+                                                  common::Governor* gov) {
+  core::ExecuteOptions exec;
+  exec.max_output_rows = eval.max_intermediate_tuples;
+  exec.governor = gov;
+  return core::OptimizedExecutor(p).ExecuteNodes(tree, exec);
+}
+
 }  // namespace
 
 std::string ProgramCacheKey(const hdt::Hdt& tree, const hdt::Table& example) {
@@ -452,8 +464,8 @@ bool Migrator::TryCachedProgram(const TableDef& t, const hdt::Hdt& tree,
   std::optional<CachedProgram> entry =
       opts.program_cache->Lookup(ProgramCacheKey(tree, example));
   if (!entry.has_value()) return false;
-  // Re-verify against the example under a bounded governor, mirroring the
-  // synthesizer's own consistency check (VerifyProgram): a poisoned or
+  // Re-verify against the example under a bounded governor with the
+  // synthesizer's own consistency check (VerifyOnExample): a poisoned or
   // colliding entry must read as a miss, never emit wrong tables, and
   // never run unbudgeted.
   common::ResourceLimits limits = opts.table_limits;
@@ -468,25 +480,15 @@ bool Migrator::TryCachedProgram(const TableDef& t, const hdt::Hdt& tree,
           "cached program has " + std::to_string(entry->program.columns.size()) +
           " columns, example has " + std::to_string(example.NumCols()));
     }
-    dsl::EvalOptions ev = opts.synthesis.predicate.eval;
-    ev.governor = &gov;
-    MITRA_ASSIGN_OR_RETURN(std::vector<dsl::NodeTuple> tuples,
-                           dsl::EvalProgramNodeTuples(tree, entry->program, ev));
-    hdt::Table got(example.NumCols());
-    for (const dsl::NodeTuple& tuple : tuples) {
-      MITRA_RETURN_IF_ERROR(got.AppendRow(dsl::ProjectData(tree, tuple)));
-    }
-    got.Dedup();
-    got.SortRows();
     hdt::Table want = example;
     want.Dedup();
     want.SortRows();
-    if (got.rows() != want.rows()) {
-      return Status::SynthesisFailure(
-          "cached program for table " + t.name +
-          " is inconsistent with the example");
-    }
-    return InstallProgram(t, entry->program, std::move(tuples),
+    dsl::EvalOptions ev = opts.synthesis.predicate.eval;
+    ev.governor = &gov;
+    MITRA_ASSIGN_OR_RETURN(
+        core::VerifiedExample verified,
+        core::VerifyOnExample(tree, want, entry->program, ev));
+    return InstallProgram(t, entry->program, std::move(verified.tuples),
                           SecondsSince(start));
   }();
   return why->ok();
@@ -559,14 +561,12 @@ Status Migrator::LearnTableLadder(const TableDef& t, const hdt::Hdt& tree,
           core::SynthesisResult result,
           core::LearnTransformation(tree, example, governed));
       const double seconds = SecondsSince(start);
-      // Materialize the example node tuples under the same budgets (they
-      // feed foreign-key learning and can be the expensive part for a
-      // near-unconstrained program).
-      dsl::EvalOptions ev = sopts.predicate.eval;
-      ev.governor = gov;
+      // Run the program on the example under the same budgets: its node
+      // tuples feed foreign-key learning and can be the expensive part
+      // for a near-unconstrained program.
       MITRA_ASSIGN_OR_RETURN(
           std::vector<dsl::NodeTuple> tuples,
-          dsl::EvalProgramNodeTuples(tree, result.program, ev));
+          ExampleTuples(tree, result.program, sopts.predicate.eval, gov));
       MITRA_RETURN_IF_ERROR(
           InstallProgram(t, result.program, std::move(tuples), seconds));
       report->cover_optimal = result.stats.cover_optimal;
@@ -623,10 +623,10 @@ Status Migrator::LearnTableLadder(const TableDef& t, const hdt::Hdt& tree,
       p.columns.push_back(cands[0]);
     }
     p.formula = dsl::Dnf::True();
-    dsl::EvalOptions ev = reduced.predicate.eval;
-    ev.governor = gov;
-    MITRA_ASSIGN_OR_RETURN(std::vector<dsl::NodeTuple> tuples,
-                           dsl::EvalProgramNodeTuples(tree, p, ev));
+    // φ = true: the output is the cross product, bounded by the cap.
+    MITRA_ASSIGN_OR_RETURN(
+        std::vector<dsl::NodeTuple> tuples,
+        ExampleTuples(tree, p, reduced.predicate.eval, gov));
     // Coverage check: every expected data row must appear among the
     // projection-only rows (superset semantics, never a wrong subset).
     std::set<hdt::Row> produced;

@@ -3,14 +3,13 @@
 #include <algorithm>
 
 #include "common/strings.h"
-#include "obs/obs.h"
 
 namespace mitra::dsl {
 
-std::vector<hdt::NodeId> EvalColumnFrom(
-    const hdt::Hdt& tree, const ColumnExtractor& pi,
-    const std::vector<hdt::NodeId>& start) {
-  std::vector<hdt::NodeId> cur = start;
+std::vector<hdt::NodeId> EvalColumn(const hdt::Hdt& tree,
+                                    const ColumnExtractor& pi) {
+  if (tree.empty()) return {};
+  std::vector<hdt::NodeId> cur{tree.root()};
   // Scratch reused across steps (swap-and-clear): the per-step allocation
   // dominated profile on long extractors over large documents.
   std::vector<hdt::NodeId> next;
@@ -65,12 +64,6 @@ std::vector<hdt::NodeId> EvalColumnFrom(
     if (cur.empty()) break;
   }
   return cur;
-}
-
-std::vector<hdt::NodeId> EvalColumn(const hdt::Hdt& tree,
-                                    const ColumnExtractor& pi) {
-  if (tree.empty()) return {};
-  return EvalColumnFrom(tree, pi, {tree.root()});
 }
 
 hdt::NodeId EvalNodeExtractor(const hdt::Hdt& tree, const NodeExtractor& phi,
@@ -144,43 +137,11 @@ bool EvalAtom(const hdt::Hdt& tree, const Atom& atom, const NodeTuple& t) {
   return false;
 }
 
-bool EvalDnf(const hdt::Hdt& tree, const Dnf& f,
-             const std::vector<Atom>& atoms, const NodeTuple& t) {
-  for (const auto& clause : f.clauses) {
-    bool all = true;
-    for (const Literal& lit : clause) {
-      bool v = EvalAtom(tree, atoms[lit.atom], t);
-      if (lit.negated) v = !v;
-      if (!v) {
-        all = false;
-        break;
-      }
-    }
-    if (all) return true;
-  }
-  return false;
-}
-
 Status CheckColumnCount(size_t num_columns) {
   if (num_columns <= kMaxEvalColumns) return Status::OK();
   return Status::ResourceExhausted(
       "program has " + std::to_string(num_columns) + " columns (limit " +
       std::to_string(kMaxEvalColumns) + ")");
-}
-
-Result<std::vector<NodeTuple>> EvalCrossProduct(
-    const hdt::Hdt& tree, const std::vector<ColumnExtractor>& columns,
-    const EvalOptions& opts) {
-  MITRA_RETURN_IF_ERROR(CheckColumnCount(columns.size()));
-  std::vector<std::vector<hdt::NodeId>> storage;
-  storage.reserve(columns.size());  // keeps the pointers in `cols` valid
-  std::vector<const std::vector<hdt::NodeId>*> cols;
-  for (const ColumnExtractor& pi : columns) {
-    MITRA_GOV_CHECK(opts.governor, "eval/column");
-    cols.push_back(&storage.emplace_back(EvalColumn(tree, pi)));
-    if (cols.back()->empty()) break;  // empty product: skip the rest
-  }
-  return CrossProduct(cols, opts);
 }
 
 Result<std::vector<NodeTuple>> CrossProduct(
@@ -230,39 +191,11 @@ Result<std::vector<NodeTuple>> CrossProduct(
   }
 }
 
-Result<std::vector<NodeTuple>> EvalProgramNodeTuples(const hdt::Hdt& tree,
-                                                     const Program& p,
-                                                     const EvalOptions& opts) {
-  MITRA_ASSIGN_OR_RETURN(std::vector<NodeTuple> cross,
-                         EvalCrossProduct(tree, p.columns, opts));
-  std::vector<NodeTuple> out;
-  for (NodeTuple& t : cross) {
-    if (EvalDnf(tree, p.formula, p.atoms, t)) out.push_back(std::move(t));
-  }
-  // Tuples are counted once per eval call, not per tuple: this is the
-  // synthesizer's innermost verification loop.
-  MITRA_COUNT("dsl/eval/calls", 1);
-  MITRA_COUNT("dsl/eval/tuples_considered", cross.size());
-  MITRA_COUNT("dsl/eval/tuples_kept", out.size());
-  return out;
-}
-
 hdt::Row ProjectData(const hdt::Hdt& tree, const NodeTuple& t) {
   hdt::Row row;
   row.reserve(t.size());
   for (hdt::NodeId n : t) row.emplace_back(tree.Data(n));
   return row;
-}
-
-Result<hdt::Table> EvalProgram(const hdt::Hdt& tree, const Program& p,
-                               const EvalOptions& opts) {
-  MITRA_ASSIGN_OR_RETURN(std::vector<NodeTuple> tuples,
-                         EvalProgramNodeTuples(tree, p, opts));
-  hdt::Table out(p.columns.size());
-  for (const NodeTuple& t : tuples) {
-    MITRA_RETURN_IF_ERROR(out.AppendRow(ProjectData(tree, t)));
-  }
-  return out;
 }
 
 }  // namespace mitra::dsl

@@ -10,11 +10,13 @@
 #include "hdt/table.h"
 
 /// \file eval.h
-/// Reference (naive) evaluator implementing the DSL's denotational
-/// semantics exactly as given in Figure 7: materialize the cross product
-/// of the extracted columns, then filter. The optimized executor
-/// (core/executor.h) must agree with this evaluator on every program —
-/// that equivalence is property-tested.
+/// The DSL's semantics (Figure 7) below the program level: column and
+/// node extractors, atomic predicates, data projection, and the
+/// intermediate cross product ψ(τ) the predicate learner builds E+/E-
+/// from. Whole programs run only in the optimized executor
+/// (core/executor.h), which synthesis verification, the migrator and
+/// every front end share; dsl/reference_eval.h is the independent naive
+/// oracle the executor is property-tested against.
 
 namespace mitra::dsl {
 
@@ -27,11 +29,6 @@ using NodeTuple = std::vector<hdt::NodeId>;
 std::vector<hdt::NodeId> EvalColumn(const hdt::Hdt& tree,
                                     const ColumnExtractor& pi);
 
-/// Evaluates a column extractor from an arbitrary starting set.
-std::vector<hdt::NodeId> EvalColumnFrom(const hdt::Hdt& tree,
-                                        const ColumnExtractor& pi,
-                                        const std::vector<hdt::NodeId>& start);
-
 /// Evaluates a node extractor on one node; kInvalidNode encodes ⊥.
 hdt::NodeId EvalNodeExtractor(const hdt::Hdt& tree, const NodeExtractor& phi,
                               hdt::NodeId n);
@@ -42,50 +39,33 @@ hdt::NodeId EvalNodeExtractor(const hdt::Hdt& tree, const NodeExtractor& phi,
 /// yields false).
 bool EvalAtom(const hdt::Hdt& tree, const Atom& atom, const NodeTuple& t);
 
-/// Evaluates a DNF formula over the given atom pool.
-bool EvalDnf(const hdt::Hdt& tree, const Dnf& f,
-             const std::vector<Atom>& atoms, const NodeTuple& t);
-
-/// Resource bounds for naive evaluation.
+/// Resource bounds for learn-time evaluation on the example.
 struct EvalOptions {
-  /// Maximum number of intermediate (cross-product) tuples to enumerate
-  /// before giving up with kResourceExhausted. Mirrors MITRA's
-  /// out-of-memory failure mode on oversized intermediate tables.
+  /// Maximum number of tuples to enumerate before giving up with
+  /// kResourceExhausted: the predicate learner's cross product, and the
+  /// output rows when a program is verified or run on its example.
+  /// Mirrors MITRA's out-of-memory failure mode on oversized
+  /// intermediate tables.
   uint64_t max_intermediate_tuples = 10'000'000;
-  /// Optional resource governor: cross-product materialization charges
-  /// its rows (and their bytes) and checks for cancellation periodically.
+  /// Optional resource governor: the cross product and the executor
+  /// runs charge their rows to it and check it for cancellation.
   common::Governor* governor = nullptr;
 };
 
 /// Hard cap on a program's column count accepted by every evaluator
-/// (reference, Fig.-7, optimized executor). Mirrors the parsers'
+/// (reference, cross product, optimized executor). Mirrors the parsers'
 /// kMaxNestingDepth guard: recursion over columns is bounded by this.
 inline constexpr size_t kMaxEvalColumns = 256;
 
 /// kResourceExhausted when `num_columns` exceeds kMaxEvalColumns.
 Status CheckColumnCount(size_t num_columns);
 
-/// Evaluates the full program: data projection of the filtered cross
-/// product (the ⟦filter⟧ rule of Fig. 7).
-Result<hdt::Table> EvalProgram(const hdt::Hdt& tree, const Program& p,
-                               const EvalOptions& opts = {});
-
-/// Like EvalProgram but returns the surviving *node tuples* instead of
-/// their data projection (needed for primary/foreign key generation, §6).
-Result<std::vector<NodeTuple>> EvalProgramNodeTuples(
-    const hdt::Hdt& tree, const Program& p, const EvalOptions& opts = {});
-
-/// Materializes the intermediate table ψ(τ) = π1(τ) × … × πk(τ) without
-/// filtering: EvalColumn per column, then CrossProduct.
-Result<std::vector<NodeTuple>> EvalCrossProduct(
-    const hdt::Hdt& tree, const std::vector<ColumnExtractor>& columns,
-    const EvalOptions& opts = {});
-
-/// The cross product of already-evaluated columns (the predicate learner
-/// passes memoized extractions to build E+/E-). Rows are in odometer order,
-/// column 0 outermost (Fig. 4b). Enforces kMaxEvalColumns and
-/// `max_intermediate_tuples`, charges the governor for the whole product
-/// up front and polls it while materializing.
+/// The intermediate table ψ(τ) = π1(τ) × … × πk(τ) of already-evaluated
+/// columns (the predicate learner passes memoized extractions to build
+/// E+/E-). Rows are in odometer order, column 0 outermost (Fig. 4b).
+/// Enforces kMaxEvalColumns and `max_intermediate_tuples`, charges the
+/// governor for the whole product up front and polls it while
+/// materializing.
 Result<std::vector<NodeTuple>> CrossProduct(
     const std::vector<const std::vector<hdt::NodeId>*>& columns,
     const EvalOptions& opts = {});

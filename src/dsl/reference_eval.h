@@ -20,9 +20,10 @@
 ///  - node sets are kept in std::set, the cross product is enumerated
 ///    recursively, and data comparison re-derives the numeric-vs-lexical
 ///    rule from strtod directly.
-/// The optimized executor, the parallel paths, and dsl/eval must all agree
-/// with this evaluator on every (tree, program) pair — that is the
-/// invariant the differential property suite enforces.
+/// The optimized executor — the library's only program evaluator — must
+/// agree with this evaluator on every (tree, program) pair, sequentially,
+/// on a pool and with a column cache: that is the invariant the
+/// differential property suite enforces.
 
 namespace mitra::dsl {
 

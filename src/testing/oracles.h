@@ -12,8 +12,7 @@
 ///
 ///  1. differential execution — the optimized executor (sequential,
 ///     pooled, column-cached) must produce tuple-identical results to the
-///     Fig.-7 evaluator in dsl/eval *and* to the independent naive
-///     reference evaluator in dsl/reference_eval;
+///     independent naive reference evaluator in dsl/reference_eval;
 ///  2. round-trip properties — writer∘parser is the identity on
 ///     parser-image HDTs (XML and JSON) and printer∘parser is the
 ///     identity on DSL programs;
@@ -49,7 +48,7 @@ struct CheckResult {
 
 /// Oracle 1: all execution paths agree on `program` over `tree`.
 /// Compares, as sorted tuple multisets: the reference evaluator, the
-/// Fig.-7 evaluator, the optimized executor (sequential), the optimized
+/// optimized executor (sequential), the optimized
 /// executor on `pool` (when non-null), and the optimized executor with a
 /// shared ColumnCache (run twice, so the second run exercises hits).
 /// Additionally requires the pooled tuple *sequence* to be identical to
@@ -68,8 +67,9 @@ CheckResult CheckJsonRoundTrip(const hdt::Hdt& tree);
 /// Oracle 2c: DSL printer∘parser identity (exact AST equality).
 CheckResult CheckDslRoundTrip(const dsl::Program& program);
 
-/// Oracle 3: synthesis soundness. Derives ⟦P⟧d, synthesizes from the
-/// example, and checks the result reproduces ⟦P⟧d on d; then enlarges d
+/// Oracle 3: synthesis soundness. Derives ⟦P⟧d with the reference
+/// evaluator, synthesizes from the example, and checks that the result,
+/// run by the optimized executor, reproduces ⟦P⟧d on d; then enlarges d
 /// to d' (from *rng, which must be seeded deterministically), derives
 /// ⟦P⟧d', re-synthesizes from the enlarged example, and checks that
 /// result on d'. (The program learned from d alone is *not* required to

@@ -1,8 +1,8 @@
 // Differential execution suite (ISSUE tentpole, oracle 1): over >= 10,000
 // seeded random (document, program) cases, every execution path — the
-// independent naive reference evaluator, the Fig.-7 evaluator, the
-// optimized executor sequentially, on a thread pool, and with a shared
-// column cache — must produce identical tuple multisets. Round-trip
+// independent naive reference evaluator and the optimized executor
+// sequentially, on a thread pool, and with a shared column cache — must
+// produce identical tuple multisets. Round-trip
 // property shards (oracle 2) ride in the same binary since they share the
 // generators.
 //

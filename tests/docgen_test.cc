@@ -1,7 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "common/strings.h"
-#include "dsl/eval.h"
+#include "dsl/reference_eval.h"
 #include "test_util.h"
 #include "workload/docgen.h"
 
@@ -72,7 +72,7 @@ TEST(ReplicateDocument, JoinProgramScalesLinearlyUnderMutation) {
   hdt::Table r = test::MakeTable({{"Ann", "Ops"}, {"Bo", "Eng"}});
   auto result = test::SynthesizeOrDie(t, r);
   hdt::Hdt big = ReplicateDocument(t, 50, true);
-  auto rows = dsl::EvalProgram(big, result.program);
+  auto rows = dsl::ReferenceEvalProgram(big, result.program);
   ASSERT_TRUE(rows.ok());
   EXPECT_EQ(rows->NumRows(), 100u);
 }

@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "core/executor.h"
 #include "dsl/ast.h"
 #include "dsl/eval.h"
+#include "dsl/reference_eval.h"
 #include "test_util.h"
 
 namespace mitra::dsl {
@@ -168,26 +172,40 @@ TEST(EvalAtom, MixedLeafInternalIsFalse) {
   EXPECT_FALSE(EvalAtom(t, a, {ps[0], ids[0]}));
 }
 
-TEST(EvalDnf, ClausesAndNegation) {
+// DNF evaluation (clauses, negated literals, true and false formulas) as
+// the optimized executor runs it: a node is in the program's output
+// exactly when the formula holds on it.
+TEST(ExecutorDnf, ClausesAndNegation) {
   hdt::Hdt t = ParseXmlOrDie(kDoc);
-  auto ids = EvalColumn(t, Col({{ColOp::kDescendants, "id", 0}}));
+  ColumnExtractor id_col = Col({{ColOp::kDescendants, "id", 0}});
+  auto ids = EvalColumn(t, id_col);
   Atom is_one;
   is_one.lhs_col = 0;
   is_one.rhs_is_const = true;
   is_one.rhs_const = "1";
   is_one.op = CmpOp::kEq;
-  std::vector<Atom> atoms{is_one};
+  auto holds = [&](const Dnf& f, hdt::NodeId n) {
+    Program p;
+    p.columns = {id_col};
+    p.atoms = {is_one};
+    p.formula = f;
+    auto rows = core::OptimizedExecutor(p).ExecuteNodes(t);
+    EXPECT_TRUE(rows.ok()) << rows.status().ToString();
+    if (!rows.ok()) return false;
+    return std::find(rows->begin(), rows->end(), NodeTuple{n}) != rows->end();
+  };
 
   Dnf id_is_1{{{Literal{0, false}}}};
   Dnf id_not_1{{{Literal{0, true}}}};
-  EXPECT_TRUE(EvalDnf(t, id_is_1, atoms, {ids[0]}));
-  EXPECT_FALSE(EvalDnf(t, id_is_1, atoms, {ids[1]}));
-  EXPECT_TRUE(EvalDnf(t, id_not_1, atoms, {ids[1]}));
-  EXPECT_TRUE(EvalDnf(t, Dnf::True(), atoms, {ids[0]}));
-  EXPECT_FALSE(EvalDnf(t, Dnf::False(), atoms, {ids[0]}));
+  EXPECT_TRUE(holds(id_is_1, ids[0]));
+  EXPECT_FALSE(holds(id_is_1, ids[1]));
+  EXPECT_TRUE(holds(id_not_1, ids[1]));
+  EXPECT_TRUE(holds(Dnf::True(), ids[0]));
+  EXPECT_FALSE(holds(Dnf::False(), ids[0]));
 }
 
-TEST(EvalProgram, CrossProductAndFilter) {
+// The Fig.-7 ⟦filter⟧ rule, checked on the reference evaluator.
+TEST(ReferenceEvalProgram, CrossProductAndFilter) {
   hdt::Hdt t = ParseXmlOrDie(kDoc);
   Program p;
   p.columns = {Col({{ColOp::kChildren, "p", 0}, {ColOp::kPChildren, "n", 0}}),
@@ -202,48 +220,55 @@ TEST(EvalProgram, CrossProductAndFilter) {
   p.atoms = {join};
   p.formula = Dnf{{{Literal{0, false}}}};
 
-  auto result = EvalProgram(t, p);
+  auto result = ReferenceEvalProgram(t, p);
   ASSERT_TRUE(result.ok());
   // (A, fid=1 under p2) and (B, fid=2 under p1).
   hdt::Table want = test::MakeTable({{"A", "1"}, {"B", "2"}});
   EXPECT_TRUE(result->BagEquals(want)) << result->ToString();
 }
 
-TEST(EvalProgram, TrueFormulaIsFullCrossProduct) {
+TEST(ReferenceEvalProgram, TrueFormulaIsFullCrossProduct) {
   hdt::Hdt t = ParseXmlOrDie(kDoc);
   Program p;
   p.columns = {Col({{ColOp::kChildren, "p", 0}, {ColOp::kPChildren, "n", 0}}),
                Col({{ColOp::kDescendants, "fid", 0}})};
-  auto result = EvalProgram(t, p);
+  auto result = ReferenceEvalProgram(t, p);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->NumRows(), 4u);  // 2 × 2
 }
 
-TEST(EvalProgram, ResourceCapOnHugeCrossProduct) {
+// φ = true emits the whole cross product, so the executor's row cap (what
+// learn-time evaluation sets from max_intermediate_tuples) bounds it.
+TEST(ExecutorRowCap, ResourceCapOnHugeCrossProduct) {
   hdt::Hdt t = ParseXmlOrDie(kDoc);
   Program p;
   ColumnExtractor every{{{ColOp::kDescendants, "fid", 0}}};
   for (int i = 0; i < 4; ++i) p.columns.push_back(every);
-  EvalOptions opts;
-  opts.max_intermediate_tuples = 8;  // 2^4 = 16 > 8
-  auto result = EvalProgram(t, p, opts);
+  core::ExecuteOptions opts;
+  opts.max_output_rows = 8;  // 2^4 = 16 > 8
+  auto result = core::ExecuteOptimized(t, p, opts);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kResourceExhausted);
 }
 
 TEST(CrossProduct, PrecomputedColumnsGetEveryCheck) {
-  // The predicate learner feeds memoized columns to CrossProduct, so it
-  // must match EvalCrossProduct row for row and enforce the same limits.
+  // The predicate learner feeds memoized columns to CrossProduct: rows
+  // come in odometer order (column 0 outermost) under the same limits.
   hdt::Hdt t = ParseXmlOrDie(kDoc);
   ColumnExtractor every{{{ColOp::kDescendants, "fid", 0}}};
   std::vector<hdt::NodeId> col = EvalColumn(t, every);
+  ASSERT_EQ(col.size(), 2u);
+  const hdt::NodeId a = col[0], b = col[1];
   std::vector<const std::vector<hdt::NodeId>*> cols(4, &col);
   auto rows = CrossProduct(cols);
-  auto want = EvalCrossProduct(t, std::vector<ColumnExtractor>(4, every));
+  const std::vector<NodeTuple> want = {
+      {a, a, a, a}, {a, a, a, b}, {a, a, b, a}, {a, a, b, b},
+      {a, b, a, a}, {a, b, a, b}, {a, b, b, a}, {a, b, b, b},
+      {b, a, a, a}, {b, a, a, b}, {b, a, b, a}, {b, a, b, b},
+      {b, b, a, a}, {b, b, a, b}, {b, b, b, a}, {b, b, b, b}};
   ASSERT_TRUE(rows.ok());
-  ASSERT_TRUE(want.ok());
   EXPECT_EQ(rows->size(), 16u);
-  EXPECT_EQ(*rows, *want);
+  EXPECT_EQ(*rows, want);
 
   EvalOptions capped;
   capped.max_intermediate_tuples = 8;

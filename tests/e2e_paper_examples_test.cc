@@ -133,7 +133,7 @@ TEST(MotivatingExample, OptimizedExecutorAgrees) {
   core::SynthesisResult result = SynthesizeOrDie(tree, table);
 
   hdt::Hdt big = ParseXmlOrDie(kSocialNetworkBigXml);
-  auto naive = dsl::EvalProgram(big, result.program);
+  auto naive = dsl::ReferenceEvalProgram(big, result.program);
   auto fast = core::ExecuteOptimized(big, result.program);
   ASSERT_TRUE(naive.ok());
   ASSERT_TRUE(fast.ok());

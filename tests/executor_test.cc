@@ -4,6 +4,7 @@
 
 #include "core/executor.h"
 #include "dsl/eval.h"
+#include "dsl/reference_eval.h"
 #include "test_util.h"
 
 namespace mitra::core {
@@ -29,7 +30,7 @@ const char* kDoc = R"(
 )";
 
 void ExpectAgreesWithNaive(const hdt::Hdt& tree, const Program& p) {
-  auto naive = dsl::EvalProgram(tree, p);
+  auto naive = dsl::ReferenceEvalProgram(tree, p);
   auto fast = ExecuteOptimized(tree, p);
   ASSERT_TRUE(naive.ok()) << naive.status().ToString();
   ASSERT_TRUE(fast.ok()) << fast.status().ToString();

@@ -7,7 +7,7 @@
 ///    span and vector forms) returns identical node sequences frozen
 ///    (compact and non-compact) and unfrozen, over fuzz-generated
 ///    XML- and JSON-shaped documents;
-///  - program results are bit-identical: naive EvalProgram and
+///  - program results are bit-identical: the reference evaluator and
 ///    OptimizedExecutor (sequential and 8-thread pool) emit the exact
 ///    same row vectors frozen vs. walk;
 ///  - the full 98-task §7.1 corpus synthesizes the same program on a
@@ -26,7 +26,7 @@
 #include "common/thread_pool.h"
 #include "core/executor.h"
 #include "core/synthesizer.h"
-#include "dsl/eval.h"
+#include "dsl/reference_eval.h"
 #include "test_util.h"
 #include "testing/generators.h"
 #include "testing/rng.h"
@@ -153,8 +153,8 @@ TEST(IndexEquivalence, FuzzProgramResults) {
       dsl::Program prog = testing::GenerateProgram(&rng, walk);
       SCOPED_TRACE(dsl::ToString(prog));
 
-      auto naive_walk = dsl::EvalProgram(walk, prog);
-      auto naive_frozen = dsl::EvalProgram(frozen, prog);
+      auto naive_walk = dsl::ReferenceEvalProgram(walk, prog);
+      auto naive_frozen = dsl::ReferenceEvalProgram(frozen, prog);
       ASSERT_TRUE(naive_walk.ok()) << naive_walk.status().ToString();
       ASSERT_TRUE(naive_frozen.ok()) << naive_frozen.status().ToString();
       // Bit-identical, including row order — not just set-equal.
@@ -300,8 +300,8 @@ TEST_P(CorpusIndexIdentityTest, FrozenMatchesWalk) {
   EXPECT_EQ(dsl::ToString(r_walk->program), dsl::ToString(r_frozen->program));
 
   const dsl::Program& prog = r_walk->program;
-  auto naive_walk = dsl::EvalProgram(walk, prog);
-  auto naive_frozen = dsl::EvalProgram(frozen, prog);
+  auto naive_walk = dsl::ReferenceEvalProgram(walk, prog);
+  auto naive_frozen = dsl::ReferenceEvalProgram(frozen, prog);
   ASSERT_TRUE(naive_walk.ok()) << naive_walk.status().ToString();
   ASSERT_TRUE(naive_frozen.ok()) << naive_frozen.status().ToString();
   EXPECT_EQ(naive_walk->rows(), naive_frozen->rows());

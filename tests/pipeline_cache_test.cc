@@ -186,5 +186,30 @@ TEST_F(CacheFixture, WellFormedButWrongProgramIsRejectedByVerification) {
   EXPECT_EQ(FinalTable(), want);
 }
 
+// The cache check verifies with the executor that migrates, so a warm run
+// whose learn-time cap sits below the example's cross product (2 names ×
+// 2 ages = 4 tuples) but above its output (2 rows) still hits the cache.
+TEST_F(CacheFixture, CapBelowCrossProductStillHitsTheCache) {
+  FsProgramCache cache("/cache");
+  auto cold = Run(&cache);
+  ASSERT_TRUE(cold.ok()) << cold.status().ToString();
+  ASSERT_TRUE(cold->complete());
+  std::string want = FinalTable();
+
+  BatchOptions opts;
+  opts.outdir = "/out";
+  opts.cache = &cache;
+  opts.migrator.synthesis.predicate.eval.max_intermediate_tuples = 3;
+  auto warm = RunBatch(manifest_, opts);
+  ASSERT_TRUE(warm.ok()) << warm.status().ToString();
+  ASSERT_EQ(warm->learn.tables.size(), 1u);
+  const db::TableReport& table = warm->learn.tables[0];
+  EXPECT_TRUE(table.cache_hit);
+  EXPECT_EQ(table.outcome, db::TableOutcome::kOk);
+  EXPECT_EQ(table.rung, 0);
+  EXPECT_TRUE(table.retry_trail.empty());
+  EXPECT_EQ(FinalTable(), want);
+}
+
 }  // namespace
 }  // namespace mitra::pipeline

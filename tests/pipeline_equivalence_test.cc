@@ -9,7 +9,7 @@
 #include "common/fs.h"
 #include "common/thread_pool.h"
 #include "db/migrator.h"
-#include "dsl/eval.h"
+#include "dsl/reference_eval.h"
 #include "obs/metrics.h"
 #include "pipeline/batch.h"
 #include "pipeline/program_cache.h"
@@ -221,7 +221,7 @@ TEST(PipelineEquivalence, GeneratedFleetsProperty) {
     popts.max_columns = 2;
     popts.max_atoms = 1;
     dsl::Program prog = testing::GenerateProgram(&rng, example, popts);
-    auto table = dsl::EvalProgram(example, prog);
+    auto table = dsl::ReferenceEvalProgram(example, prog);
     if (!table.ok() || table->NumRows() == 0) continue;
     hdt::Table expected = *table;
     expected.Dedup();

@@ -17,7 +17,7 @@
 
 #include "core/column_learner.h"
 #include "core/synthesizer.h"
-#include "dsl/eval.h"
+#include "dsl/reference_eval.h"
 #include "json/json_writer.h"
 #include "json/json_parser.h"
 #include "test_util.h"
@@ -111,7 +111,7 @@ TEST_P(PropertyTest, SynthesisIsSoundOnDerivedTables) {
                                     0});
     intended.columns.push_back(pi);
   }
-  auto derived = dsl::EvalProgram(t, intended);
+  auto derived = dsl::ReferenceEvalProgram(t, intended);
   if (!derived.ok() || derived->Empty()) return;
   hdt::Table want = std::move(derived).value();
   want.Dedup();

@@ -7,7 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "core/synthesizer.h"
-#include "dsl/eval.h"
+#include "dsl/reference_eval.h"
 #include "test_util.h"
 
 namespace mitra::core {
@@ -127,7 +127,7 @@ TEST(MultiExample, SecondExampleDisambiguates) {
   <item><sku>mmm</sku><price>4</price></item>
   <item><sku>nnn</sku><price>80</price></item>
 </items>)");
-  auto got = dsl::EvalProgram(t3, result->program);
+  auto got = dsl::ReferenceEvalProgram(t3, result->program);
   ASSERT_TRUE(got.ok());
   ASSERT_EQ(got->NumRows(), 1u) << dsl::ToString(result->program);
   EXPECT_EQ(got->row(0)[0], "mmm");

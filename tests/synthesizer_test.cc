@@ -72,7 +72,7 @@ TEST(Synthesizer, ConstantFilter) {
   <item><sku>fox</sku><price>28</price></item>
 </items>
 )");
-  auto got = dsl::EvalProgram(t2, result.program);
+  auto got = dsl::ReferenceEvalProgram(t2, result.program);
   ASSERT_TRUE(got.ok());
   ASSERT_EQ(got->NumRows(), 1u) << dsl::ToString(result.program);
   EXPECT_EQ(got->row(0)[0], "eel");

@@ -7,7 +7,7 @@
 #include <vector>
 
 #include "core/synthesizer.h"
-#include "dsl/eval.h"
+#include "dsl/reference_eval.h"
 #include "hdt/hdt.h"
 #include "hdt/table.h"
 #include "json/json_parser.h"
@@ -57,10 +57,11 @@ inline core::SynthesisResult SynthesizeOrDie(
   return std::move(r).value();
 }
 
-/// Evaluates a program and compares with `want` as a row set.
+/// Evaluates a program with the reference evaluator and compares with
+/// `want` as a row set.
 inline void ExpectProgramYields(const hdt::Hdt& tree, const dsl::Program& p,
                                 const hdt::Table& want_in) {
-  auto got_r = dsl::EvalProgram(tree, p);
+  auto got_r = dsl::ReferenceEvalProgram(tree, p);
   ASSERT_TRUE(got_r.ok()) << got_r.status().ToString();
   hdt::Table got = std::move(got_r).value();
   got.Dedup();

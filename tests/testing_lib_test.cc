@@ -4,7 +4,7 @@
 
 #include <gtest/gtest.h>
 
-#include "dsl/eval.h"
+#include "dsl/reference_eval.h"
 #include "testing/fuzz_util.h"
 #include "testing/generators.h"
 #include "testing/oracles.h"
@@ -71,7 +71,7 @@ TEST(Generators, ProgramsAreWellTypedOverTheirDocument) {
     Rng rng(seed);
     hdt::Hdt doc = GenerateDocument(&rng);
     dsl::Program prog = GenerateProgram(&rng, doc);
-    auto rows = dsl::EvalProgram(doc, prog);
+    auto rows = dsl::ReferenceEvalProgram(doc, prog);
     EXPECT_TRUE(rows.ok()) << "seed=" << seed << ": "
                            << rows.status().ToString();
   }
@@ -103,7 +103,7 @@ TEST(Shrinker, ReducesDocumentAndProgramToAMinimalFailingCase) {
   // like a real failure would. Scan seeds for a non-trivial case (random
   // predicates often yield zero rows, which this oracle skips).
   auto fails = [](const hdt::Hdt& d, const dsl::Program& p) {
-    auto rows = dsl::EvalProgramNodeTuples(d, p);
+    auto rows = dsl::ReferenceEvalProgramNodeTuples(d, p);
     return rows.ok() && !rows->empty();
   };
   hdt::Hdt doc;

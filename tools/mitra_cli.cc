@@ -433,6 +433,8 @@ int Batch(const std::map<std::string, std::string>& flags) {
 
   pipeline::BatchOptions bopts;
   bopts.migrator.table_limits = LimitsFlags(flags);
+  const int threads_flag = ThreadsFlag(flags);
+  bopts.migrator.synthesis.num_threads = threads_flag;
   auto outdir_it = flags.find("outdir");
   if (outdir_it != flags.end() && !outdir_it->second.empty()) {
     bopts.outdir = outdir_it->second;
@@ -493,7 +495,7 @@ int Batch(const std::map<std::string, std::string>& flags) {
   }
 
   std::optional<common::ThreadPool> pool;
-  bopts.pool = StartPool(ThreadsFlag(flags), &pool);
+  bopts.pool = StartPool(threads_flag, &pool);
 
   obs::MetricsSnapshot metrics_before = obs::SnapshotMetrics();
   auto report = pipeline::RunBatch(*manifest, bopts);
